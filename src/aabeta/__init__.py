@@ -22,14 +22,12 @@ from .errors import (
     InconsistentKey,
     InvalidCiphertext,
     NonResidueError,
-    NotInvertibleError,
     ParameterViolation,
 )
 from .keys import (
     KeyPair,
     PrivateKey,
     PublicKey,
-    derive_public,
     generate_keypair,
     validate_keypair,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "capacity_bytes",
     "decode",
     "decrypt",
-    "derive_public",
     "encode",
     "encrypt",
     "encrypt_with_ephemerals",
@@ -60,6 +57,5 @@ __all__ = [
     "InconsistentKey",
     "InvalidCiphertext",
     "NonResidueError",
-    "NotInvertibleError",
     "ParameterViolation",
 ]

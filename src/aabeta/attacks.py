@@ -23,8 +23,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import FactoringFailure, InconsistentKey, NotInvertibleError
-from .numtheory import mod_inv
+from .errors import FactoringFailure, InconsistentKey
 
 __all__ = [
     "VERDICT_RECOVERED",
@@ -88,8 +87,8 @@ def _log2_int(x):
 def congruence_params(pub, ct):
     """Base point (a, b) of the parametric solution family and the scan windows."""
     try:
-        inv = mod_inv(pub.e_a1, pub.e_a2)
-    except NotInvertibleError as exc:
+        inv = pow(pub.e_a1, -1, pub.e_a2)
+    except ValueError as exc:
         raise InconsistentKey("public coefficients are not coprime") from exc
     a = ct.c * inv % pub.e_a2
     b, rem = divmod(ct.c - pub.e_a1 * a, pub.e_a2)
@@ -325,12 +324,16 @@ def _nearest_isqrt(x):
     return r + 1 if x - r * r > (r + 1) * (r + 1) - x else r
 
 
-def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None, coeff_bound=4):
+# Short-vector search range for each reduced-row coefficient.
+_COEFF_BOUND = 4
+
+
+def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     """Reduce the attack lattice and search short vectors for (U, V^2, 0).
 
     After reduction the rows with zero third coordinate span the
     sublattice containing the target; the search tries all integer
-    combinations of those rows with coefficients up to +/-coeff_bound,
+    combinations of those rows with coefficients up to +/-_COEFF_BOUND,
     accepting a vector whose second entry is the square of an in-range
     V and which reproduces C. Supplying the true (U, V) adds
     known-answer diagnostics (target norm, lattice membership).
@@ -352,8 +355,8 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None, coeff_bound=
     found = None
     if len(zero_rows) == 2:
         r1, r2 = zero_rows
-        for c1 in range(-coeff_bound, coeff_bound + 1):
-            for c2 in range(-coeff_bound, coeff_bound + 1):
+        for c1 in range(-_COEFF_BOUND, _COEFF_BOUND + 1):
+            for c2 in range(-_COEFF_BOUND, _COEFF_BOUND + 1):
                 if c1 == 0 and c2 == 0:
                     continue
                 vsq = c1 * r1[1] + c2 * r2[1]

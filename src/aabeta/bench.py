@@ -18,10 +18,11 @@ import statistics
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from . import cipher, codec, rabin
 from .keys import generate_keypair
-from .numtheory import gen_prime_3mod4, mod_inv
+from .numtheory import gen_prime_3mod4
 
 __all__ = [
     "BenchRow",
@@ -29,12 +30,9 @@ __all__ = [
     "SCHEMES",
     "rsa_keygen",
     "rsa_encrypt",
-    "rsa_decrypt",
     "run_bench",
     "emit_csv",
 ]
-
-SCHEMES = ("aabeta", "rabin", "rsa")
 
 _MIN_SAMPLE_SECONDS = 0.005
 _MAX_BATCH = 4096
@@ -69,20 +67,13 @@ def rsa_keygen(n, rng):
         phi = (p - 1) * (q - 1)
         if math.gcd(e, phi) != 1:
             continue
-        return RsaKeyPair(p * q, e, mod_inv(e, phi))
+        return RsaKeyPair(p * q, e, pow(e, -1, phi))
 
 
 def rsa_encrypt(kp, m):
     if not 0 <= m < kp.modulus:
         raise ValueError("message must lie in [0, N)")
     return pow(m, kp.e, kp.modulus)
-
-
-def rsa_decrypt(kp, c):
-    # plain square-and-multiply, no CRT shortcut
-    if not 0 <= c < kp.modulus:
-        raise ValueError("ciphertext must lie in [0, N)")
-    return pow(c, kp.d, kp.modulus)
 
 
 _running = threading.Lock()
@@ -150,110 +141,90 @@ def _calibrate(make_items, kernel):
         size *= 4
 
 
+def _aabeta_ops(kp, n, payload_bytes, rng):
+    pub = kp.public
+    e_a1, e_a2 = pub.e_a1, pub.e_a2
+
+    def draw():
+        msg = codec.encode(rng.randbytes(payload_bytes), n)
+        eph = cipher.sample_ephemerals(n, rng)
+        return msg.m1, msg.m2, eph.k1, eph.k2
+
+    def seal(item):
+        m1, m2, k1, k2 = item
+        msg = codec.EncodedMessage(m1, m2, n)
+        return cipher.encrypt_with_ephemerals(pub, msg, cipher.EphemeralPair(k1, k2))
+
+    def enc_kernel(items):
+        two_n = 1 << n
+        sink = 0
+        for m1, m2, k1, k2 in items:
+            u = m1 * two_n + k1
+            v = m2 * two_n + k2
+            sink ^= u * e_a1 + v * v * e_a2
+        return sink
+
+    def dec_kernel(items):
+        for ct in items:
+            cipher.decrypt(kp, ct)
+
+    return draw, seal, enc_kernel, dec_kernel
+
+
+def _int_draw(payload_bytes, rng):
+    return lambda: int.from_bytes(rng.randbytes(payload_bytes), "big")
+
+
+def _rsa_ops(kp, n, payload_bytes, rng):
+    modulus, e, d = kp.modulus, kp.e, kp.d
+
+    def enc_kernel(items):
+        for m in items:
+            pow(m, e, modulus)
+
+    def dec_kernel(items):
+        for c in items:
+            pow(c, d, modulus)
+
+    return _int_draw(payload_bytes, rng), partial(rsa_encrypt, kp), enc_kernel, dec_kernel
+
+
+def _rabin_ops(kp, n, payload_bytes, rng):
+    modulus = kp.N
+
+    def enc_kernel(items):
+        for m in items:
+            m * m % modulus
+
+    def dec_kernel(items):
+        for c in items:
+            rabin.decrypt_all(kp, c)
+
+    return _int_draw(payload_bytes, rng), partial(rabin.encrypt, modulus), enc_kernel, dec_kernel
+
+
+# scheme -> (keygen(n, rng), payload_bytes(n), ops(kp, n, payload_bytes, rng)).
+# ops returns (draw, seal, enc_kernel, dec_kernel): draw() makes one
+# encryption input from the row's rng, seal(item) turns it into a
+# decryption input, and each kernel runs over one batch of inputs.
+_SCHEME_TABLE = {
+    "aabeta": (generate_keypair, codec.capacity_bytes, _aabeta_ops),
+    "rabin": (rabin.keygen, lambda n: (2 * n) // 8, _rabin_ops),
+    "rsa": (rsa_keygen, lambda n: (2 * n - 2) // 8, _rsa_ops),
+}
+SCHEMES = tuple(_SCHEME_TABLE)
+
+
 def _bench_row(scheme, n, reps, seed):
     rng = random.Random(f"{seed}:{scheme}:{n}")
-    if scheme == "aabeta":
-        payload_bytes = codec.capacity_bytes(n)
-        kp = generate_keypair(n, rng)
-        keygen_ms = _median_per_op(lambda: generate_keypair(n, rng), 1, reps)
-        e_a1, e_a2 = kp.public.e_a1, kp.public.e_a2
-
-        def make_enc(size):
-            items = []
-            for _ in range(size):
-                msg = codec.encode(rng.randbytes(payload_bytes), n)
-                eph = cipher.sample_ephemerals(n, rng)
-                items.append((msg.m1, msg.m2, eph.k1, eph.k2))
-            return items
-
-        def enc_kernel(items):
-            two_n = 1 << n
-            sink = 0
-            for m1, m2, k1, k2 in items:
-                u = m1 * two_n + k1
-                v = m2 * two_n + k2
-                sink ^= u * e_a1 + v * v * e_a2
-            return sink
-
-        enc_items = _calibrate(make_enc, enc_kernel)
-        encrypt_ms = _median_per_op(
-            lambda: enc_kernel(enc_items), len(enc_items), reps
-        )
-
-        def make_dec(size):
-            out = []
-            for _ in range(size):
-                msg = codec.encode(rng.randbytes(payload_bytes), n)
-                out.append(cipher.encrypt(kp.public, msg, rng))
-            return out
-
-        def dec_kernel(items):
-            for ct in items:
-                cipher.decrypt(kp, ct)
-
-        dec_items = _calibrate(make_dec, dec_kernel)
-        decrypt_ms = _median_per_op(
-            lambda: dec_kernel(dec_items), len(dec_items), reps
-        )
-    elif scheme == "rsa":
-        payload_bytes = (2 * n - 2) // 8
-        kp = rsa_keygen(n, rng)
-        keygen_ms = _median_per_op(lambda: rsa_keygen(n, rng), 1, reps)
-        modulus, e, d = kp.modulus, kp.e, kp.d
-
-        def make_enc(size):
-            return [int.from_bytes(rng.randbytes(payload_bytes), "big") for _ in range(size)]
-
-        def enc_kernel(items):
-            for m in items:
-                pow(m, e, modulus)
-
-        enc_items = _calibrate(make_enc, enc_kernel)
-        encrypt_ms = _median_per_op(
-            lambda: enc_kernel(enc_items), len(enc_items), reps
-        )
-
-        def make_dec(size):
-            return [rsa_encrypt(kp, m) for m in make_enc(size)]
-
-        def dec_kernel(items):
-            for c in items:
-                pow(c, d, modulus)
-
-        dec_items = _calibrate(make_dec, dec_kernel)
-        decrypt_ms = _median_per_op(
-            lambda: dec_kernel(dec_items), len(dec_items), reps
-        )
-    elif scheme == "rabin":
-        payload_bytes = (2 * n) // 8
-        kp = rabin.keygen(n, rng)
-        keygen_ms = _median_per_op(lambda: rabin.keygen(n, rng), 1, reps)
-        modulus = kp.N
-
-        def make_enc(size):
-            return [int.from_bytes(rng.randbytes(payload_bytes), "big") for _ in range(size)]
-
-        def enc_kernel(items):
-            for m in items:
-                m * m % modulus
-            return None
-
-        enc_items = _calibrate(make_enc, enc_kernel)
-        encrypt_ms = _median_per_op(
-            lambda: enc_kernel(enc_items), len(enc_items), reps
-        )
-
-        def make_dec(size):
-            return [rabin.encrypt(modulus, m) for m in make_enc(size)]
-
-        def dec_kernel(items):
-            for c in items:
-                rabin.decrypt_all(kp, c)
-
-        dec_items = _calibrate(make_dec, dec_kernel)
-        decrypt_ms = _median_per_op(
-            lambda: dec_kernel(dec_items), len(dec_items), reps
-        )
-    else:  # pragma: no cover - guarded in run_bench
-        raise ValueError(scheme)
+    keygen, payload_size, ops = _SCHEME_TABLE[scheme]
+    payload_bytes = payload_size(n)
+    kp = keygen(n, rng)
+    keygen_ms = _median_per_op(lambda: keygen(n, rng), 1, reps)
+    draw, seal, enc_kernel, dec_kernel = ops(kp, n, payload_bytes, rng)
+    timings = []
+    for make_one, kernel in ((draw, enc_kernel), (lambda: seal(draw()), dec_kernel)):
+        items = _calibrate(lambda size: [make_one() for _ in range(size)], kernel)
+        timings.append(_median_per_op(lambda: kernel(items), len(items), reps))
+    encrypt_ms, decrypt_ms = timings
     return BenchRow(scheme, n, keygen_ms, encrypt_ms, decrypt_ms, reps, payload_bytes)

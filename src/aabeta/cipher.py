@@ -13,6 +13,7 @@ equation exactly while staying inside the V window; the session values
 fall away under floor division by 2^n.
 """
 
+import re
 from dataclasses import dataclass
 
 from .codec import EncodedMessage
@@ -152,11 +153,12 @@ def format_ciphertext(ct):
     return f"{ct.c}\n"
 
 
+_CIPHERTEXT_TEXT = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
+
+
 def parse_ciphertext(text):
-    """Decimal or 0x-hex ciphertext text; trailing whitespace tolerated."""
+    """ASCII decimal or 0x-hex ciphertext text; surrounding whitespace tolerated."""
     value = text.strip()
-    if value.lower().startswith("0x"):
-        return Ciphertext(int(value, 16))
-    if not value.isdigit():
+    if not _CIPHERTEXT_TEXT.fullmatch(value):
         raise ValueError(f"malformed ciphertext text: {value[:40]!r}")
-    return Ciphertext(int(value))
+    return Ciphertext(int(value, 16 if value[:2] in ("0x", "0X") else 10))

@@ -22,6 +22,7 @@ from .keys import (
     format_private_key,
     format_public_key,
     generate_keypair,
+    parse_fields,
     parse_private_key,
     parse_public_key,
     validate_keypair,
@@ -40,23 +41,6 @@ def _read_text(path):
 
 def _write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
-
-
-def _parse_name_values(text, expected):
-    values = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        name, sep, value = line.partition("=")
-        name, value = name.strip(), value.strip()
-        if not sep or name not in expected or name in values:
-            raise ValueError(f"malformed line: {raw!r}")
-        values[name] = int(value)
-    missing = [f for f in expected if f not in values]
-    if missing:
-        raise ValueError(f"missing fields: {missing}")
-    return values
 
 
 def _load_keypair(pub_path, priv_path):
@@ -148,12 +132,12 @@ def _cmd_attack(args):
     elif args.kind == "euclid":
         if args.known_answer is None:
             raise ValueError("--known-answer is required for --kind euclid")
-        ka = _parse_name_values(_read_text(args.known_answer), ("u", "v"))
+        ka = parse_fields(_read_text(args.known_answer), ("u", "v"))
         report = attacks.euclid_division_check(pub, need_ct(), ka["u"], ka["v"])
     elif args.kind == "lattice":
         ka = {}
         if args.known_answer is not None:
-            ka = _parse_name_values(_read_text(args.known_answer), ("u", "v"))
+            ka = parse_fields(_read_text(args.known_answer), ("u", "v"))
         report = attacks.lattice_attack(
             pub,
             need_ct(),
@@ -165,7 +149,7 @@ def _cmd_attack(args):
         if args.roots is None:
             raise ValueError("--roots is required for --kind factor-from-roots")
         fields = ("v1", "v2", "v3", "v4")
-        vals = _parse_name_values(_read_text(args.roots), fields)
+        vals = parse_fields(_read_text(args.roots), fields)
         p, q = attacks.factor_from_roots(pub.e_a1, [vals[f] for f in fields])
         report = attacks.AttackReport(
             attack="factor-from-roots",
@@ -220,7 +204,7 @@ def _cmd_rabin_keygen(args):
 
 
 def _cmd_rabin_encrypt(args):
-    pub = _parse_name_values(_read_text(args.pub), _RABIN_PUB_FIELDS)
+    pub = parse_fields(_read_text(args.pub), _RABIN_PUB_FIELDS)
     m = _rabin_payload_to_int(Path(args.infile).read_bytes())
     if args.scheme == "redundant":
         c = rabin.encrypt_redundant(pub["N"], m, args.l)
@@ -232,16 +216,16 @@ def _cmd_rabin_encrypt(args):
 
 
 def _cmd_rabin_decrypt(args):
-    priv = _parse_name_values(_read_text(args.priv), _RABIN_PRIV_FIELDS)
+    priv = parse_fields(_read_text(args.priv), _RABIN_PRIV_FIELDS)
     kp = rabin.RabinKeyPair(priv["p"] * priv["q"], priv["p"], priv["q"])
     if args.scheme == "redundant":
-        c = int(_read_text(args.infile).strip())
+        c = cipher.parse_ciphertext(_read_text(args.infile)).c
         result = rabin.decrypt_redundant(kp, c, args.l)
         if isinstance(result, rabin.AmbiguityReport):
             raise CryptoError(f"ambiguous decryption: roots {result.roots}")
         payload = result
     else:
-        fields = _parse_name_values(_read_text(args.infile), ("c", "parity", "jacobi"))
+        fields = parse_fields(_read_text(args.infile), ("c", "parity", "jacobi"))
         payload = rabin.decrypt_extrabits(kp, fields["c"], fields["parity"], fields["jacobi"])
     Path(args.out).write_bytes(_rabin_int_to_payload(payload))
     return 0

@@ -66,10 +66,8 @@ def decode(msg):
     x1 = msg.m1 - (1 << (3 * n)) - 1
     x2 = msg.m2 - (1 << (n - 2)) - 1
     rank = x1 * ((1 << (n - 2)) - 1) + x2
-    cap = capacity_bytes(n)
-    length = 0
-    while rank >= _rank_base(length + 1):
-        length += 1
-        if length > cap:
-            raise CodecError("message index beyond the payload space")
+    # largest length with _rank_base(length) <= rank, i.e. 256^length <= 255*rank + 1
+    length = ((255 * rank + 1).bit_length() - 1) // 8
+    if length > capacity_bytes(n):
+        raise CodecError("message index beyond the payload space")
     return (rank - _rank_base(length)).to_bytes(length, "big")

@@ -9,10 +9,6 @@ class GenerationFailure(CryptoError):
     """Randomized generation exhausted its retry budget."""
 
 
-class NotInvertibleError(CryptoError):
-    """Requested modular inverse does not exist (gcd != 1)."""
-
-
 class NonResidueError(CryptoError):
     """Value is not a quadratic residue for the given modulus."""
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import GenerationFailure
-from .numtheory import gen_prime_3mod4, is_probable_prime, mod_inv
+from .numtheory import gen_prime_3mod4, is_probable_prime
 
 __all__ = [
     "PublicKey",
@@ -18,8 +18,8 @@ __all__ = [
     "KeyPair",
     "ValidationReport",
     "generate_keypair",
-    "derive_public",
     "validate_keypair",
+    "parse_fields",
     "format_public_key",
     "parse_public_key",
     "format_private_key",
@@ -86,17 +86,12 @@ def generate_keypair(n, rng, safe_primes=False):
             break
     else:
         raise GenerationFailure("could not sample a decryption exponent")
-    e = mod_inv(d, pq)
+    e = pow(d, -1, pq)
     lo = 1 << (3 * n + 4)
     if e <= lo:
         e += ((lo - e) // pq + 1) * pq
     assert lo < e < 1 << (3 * n + 6)
     return KeyPair(PublicKey(n, e_a1, e), PrivateKey(p, q, d))
-
-
-def derive_public(priv, e_a2, n):
-    """Public key matching a private key: e_a1 = p^2*q computed exactly."""
-    return PublicKey(n, priv.p * priv.p * priv.q, e_a2)
 
 
 def validate_keypair(kp, strict=True):
@@ -152,7 +147,13 @@ _PUBLIC_FIELDS = ("n", "eA1", "eA2")
 _PRIVATE_FIELDS = ("n", "p", "q", "d")
 
 
-def _parse_fields(text, expected):
+def parse_fields(text, expected):
+    """Parse `name = value` lines into a dict of non-negative integers.
+
+    Every name in `expected` must appear exactly once and no other name
+    may appear; values are ASCII decimal digits only (no sign, no
+    underscores). Blank lines are skipped. Raises ValueError otherwise.
+    """
     values = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -161,16 +162,16 @@ def _parse_fields(text, expected):
         name, sep, value = line.partition("=")
         name = name.strip()
         value = value.strip()
-        if not sep or not value.isdigit():
-            raise ValueError(f"malformed key line: {raw!r}")
+        if not sep or not (value.isascii() and value.isdigit()):
+            raise ValueError(f"malformed line: {raw!r}")
         if name not in expected:
-            raise ValueError(f"unknown key field: {name!r}")
+            raise ValueError(f"unknown field: {name!r}")
         if name in values:
-            raise ValueError(f"duplicate key field: {name!r}")
+            raise ValueError(f"duplicate field: {name!r}")
         values[name] = int(value)
     missing = [f for f in expected if f not in values]
     if missing:
-        raise ValueError(f"missing key fields: {missing}")
+        raise ValueError(f"missing fields: {missing}")
     return values
 
 
@@ -179,7 +180,7 @@ def format_public_key(pub):
 
 
 def parse_public_key(text):
-    v = _parse_fields(text, _PUBLIC_FIELDS)
+    v = parse_fields(text, _PUBLIC_FIELDS)
     return PublicKey(v["n"], v["eA1"], v["eA2"])
 
 
@@ -189,5 +190,5 @@ def format_private_key(priv, n):
 
 def parse_private_key(text):
     """Return (PrivateKey, n) from the key-file text."""
-    v = _parse_fields(text, _PRIVATE_FIELDS)
+    v = parse_fields(text, _PRIVATE_FIELDS)
     return PrivateKey(v["p"], v["q"], v["d"]), v["n"]

@@ -1,22 +1,18 @@
 """Arbitrary-precision number-theory kernel.
 
-Exact integer arithmetic only: modular exponentiation, extended gcd,
-modular inverses, Miller-Rabin primality, prime generation in the
-3 (mod 4) residue class, square roots modulo primes p = 3 (mod 4),
-the four CRT square roots modulo p*q, Jacobi symbols and integer
-square roots.
+Exact integer arithmetic only: Miller-Rabin primality, prime
+generation in the 3 (mod 4) residue class, square roots modulo primes
+p = 3 (mod 4), the four CRT square roots modulo p*q and Jacobi
+symbols. Modular powers, inverses and integer square roots are the
+builtins pow(a, e, m), pow(a, -1, m) and math.isqrt.
 """
 
 import math
 import random
 
-from .errors import GenerationFailure, NonResidueError, NotInvertibleError
+from .errors import GenerationFailure, NonResidueError
 
 __all__ = [
-    "mod_exp",
-    "ext_gcd",
-    "mod_inv",
-    "isqrt",
     "jacobi",
     "is_probable_prime",
     "gen_prime_3mod4",
@@ -40,50 +36,11 @@ _SMALL_PRIME_LIMIT = _SMALL_PRIMES[-1] ** 2
 # Proven-deterministic Miller-Rabin witness set for n < 3.317e24 (covers 2^64).
 _WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Random-witness Miller-Rabin rounds above 2^64.
+_MR_ROUNDS = 64
 
-def mod_exp(base, exp, modulus):
-    """base**exp mod modulus, result in [0, modulus)."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exp, modulus)
-
-
-def ext_gcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = abs(a), abs(b)
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if a < 0:
-        old_x = -old_x
-    if b < 0:
-        old_y = -old_y
-    return old_r, old_x, old_y
-
-
-def mod_inv(a, m):
-    """Inverse of a modulo m, in [1, m)."""
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    g, x, _ = ext_gcd(a, m)
-    if g != 1:
-        raise NotInvertibleError(f"gcd({a}, {m}) = {g}, no inverse")
-    return x % m
-
-
-def isqrt(n):
-    """floor(sqrt(n)) for n >= 0."""
-    if n < 0:
-        raise ValueError("square root of negative integer")
-    return math.isqrt(n)
+# gen_prime_3mod4 gives up after this many candidates per bit of size.
+_TRIES_PER_BIT = 100
 
 
 def jacobi(a, n):
@@ -126,16 +83,14 @@ def _miller_rabin(n, bases):
     return True
 
 
-def is_probable_prime(n, rounds=64):
+def is_probable_prime(n):
     """Miller-Rabin primality test.
 
     Deterministic (and correct) for n below the proven witness-set
-    bound; above that the error probability is at most 4**-rounds.
+    bound; above that the error probability is at most 4**-64.
     The witness choice is a pure function of n, so repeated calls
     agree.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -146,20 +101,18 @@ def is_probable_prime(n, rounds=64):
     if n < 1 << 64:
         return _miller_rabin(n, _WITNESSES_64)
     rnd = random.Random(n)
-    return _miller_rabin(n, [rnd.randrange(2, n - 1) for _ in range(rounds)])
+    return _miller_rabin(n, [rnd.randrange(2, n - 1) for _ in range(_MR_ROUNDS)])
 
 
-def gen_prime_3mod4(n, rng, safe=False, max_tries=None):
+def gen_prime_3mod4(n, rng, safe=False):
     """Random probable prime p = 3 (mod 4) with 2^n < p < 2^(n+1).
 
     With safe=True, p = 2*r + 1 for prime r (such p is automatically
-    3 mod 4). Raises GenerationFailure after max_tries candidates
-    (default 100*n).
+    3 mod 4). Raises GenerationFailure after 100*n candidates.
     """
     if n < 4:
         raise ValueError("bit size must be at least 4")
-    if max_tries is None:
-        max_tries = 100 * n
+    max_tries = _TRIES_PER_BIT * n
     for _ in range(max_tries):
         if safe:
             r = rng.randrange(1 << (n - 1), 1 << n) | 1
@@ -203,8 +156,8 @@ def four_roots(x_p, x_q, p, q):
     if not 0 <= x_q < q:
         raise ValueError("x_q must lie in [0, q)")
     modulus = p * q
-    t_p = x_p * mod_inv(q, p) * q
-    t_q = x_q * mod_inv(p, q) * p
+    t_p = x_p * pow(q, -1, p) * q
+    t_q = x_q * pow(p, -1, q) * p
     return (
         (t_p + t_q) % modulus,
         (t_p - t_q) % modulus,

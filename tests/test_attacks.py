@@ -27,9 +27,9 @@ from aabeta.attacks import (
 )
 from aabeta.cipher import Ciphertext, encrypt_trace, sample_ephemerals
 from aabeta.codec import capacity_bytes, encode
-from aabeta.errors import FactoringFailure
-from aabeta.keys import generate_keypair
-from aabeta.numtheory import four_roots, mod_inv, sqrt_mod_p_3mod4
+from aabeta.errors import FactoringFailure, InconsistentKey
+from aabeta.keys import PublicKey, generate_keypair
+from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
 import vectors
 
@@ -56,6 +56,12 @@ def test_congruence_params_reference_identities():
     assert par.b - pub.e_a1 * j == vectors.V16_SQUARED
     assert par.window_u == 1 << 10 == 1024
     assert par.window_v == 3 << 9 == 1536
+
+
+def test_congruence_params_rejects_non_coprime_coefficients():
+    pub = PublicKey(16, 6, 9)  # gcd(e_a1, e_a2) = 3: e_a1 has no inverse mod e_a2
+    with pytest.raises(InconsistentKey):
+        congruence_params(pub, Ciphertext(33))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -262,5 +262,6 @@ def test_ciphertext_file_format():
     assert parse_ciphertext(format_ciphertext(ct)) == ct
     assert parse_ciphertext(f"{vectors.C16}") == ct
     assert parse_ciphertext(hex(vectors.C16) + "\n") == ct
-    with pytest.raises(ValueError):
-        parse_ciphertext("12x34\n")
+    for bad in ("12x34\n", "١٢٣", "1_234", "+123", "0x_ff", "0x", ""):
+        with pytest.raises(ValueError):
+            parse_ciphertext(bad)

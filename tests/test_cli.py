@@ -255,3 +255,81 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "keygen" in proc.stdout
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def test_key_file_non_ascii_digits_exit_2(reference_keys):
+    pub, _ = reference_keys
+    pub.write_text(pub.read_text().replace("n = 16", "n = 16".translate(_ARABIC_INDIC)))
+    assert run("attack", "--kind", "coppersmith", "--pub", str(pub)) == 2
+
+
+def test_ciphertext_non_ascii_digits_exit_2(keys16, tmp_path):
+    pub, priv = keys16
+    payload = tmp_path / "p.bin"
+    ct = tmp_path / "ct.txt"
+    payload.write_bytes(b"abc")
+    assert run("encrypt", "--pub", str(pub), "--in", str(payload),
+               "--out", str(ct), "--seed", "2") == 0
+    ct.write_text(ct.read_text().translate(_ARABIC_INDIC), encoding="utf-8")
+    assert run("decrypt", "--pub", str(pub), "--priv", str(priv),
+               "--in", str(ct), "--out", str(tmp_path / "o")) == 2
+
+
+def test_known_answer_rejects_signed_value(reference_keys, tmp_path):
+    pub, _ = reference_keys
+    ct = tmp_path / "ct.txt"
+    ct.write_text(f"{vectors.C16}\n")
+    ka = tmp_path / "ka.txt"
+    ka.write_text(f"u = -5\nv = {vectors.V16}\n")
+    assert run("attack", "--kind", "euclid", "--pub", str(pub), "--ct", str(ct),
+               "--known-answer", str(ka)) == 2
+
+
+def test_roots_file_rejects_plus_sign(reference_keys, tmp_path):
+    pub, _ = reference_keys
+    roots = tmp_path / "roots.txt"
+    values = [f"+{r}" if i == 0 else str(r) for i, r in enumerate(vectors.ROOTS16)]
+    roots.write_text("".join(f"v{i + 1} = {v}\n" for i, v in enumerate(values)))
+    assert run("attack", "--kind", "factor-from-roots", "--pub", str(pub),
+               "--roots", str(roots)) == 2
+
+
+@pytest.fixture
+def rabin_files(tmp_path):
+    pub = tmp_path / "rpub.txt"
+    priv = tmp_path / "rpriv.txt"
+    assert run("rabin", "keygen", "--n", "24", "--seed", "5",
+               "--out-pub", str(pub), "--out-priv", str(priv)) == 0
+    payload = tmp_path / "m.bin"
+    payload.write_bytes(b"ab")
+    ct = tmp_path / "rct.txt"
+    assert run("rabin", "encrypt", "--pub", str(pub), "--in", str(payload),
+               "--out", str(ct), "--scheme", "redundant") == 0
+    return priv, ct
+
+
+def rabin_decrypt(priv, ct, out):
+    return run("rabin", "decrypt", "--priv", str(priv), "--in", str(ct),
+               "--out", str(out), "--scheme", "redundant")
+
+
+def test_rabin_private_key_rejects_underscored_value(rabin_files, tmp_path):
+    priv, ct = rabin_files
+    lines = priv.read_text().splitlines()
+    p = int(lines[1].partition("=")[2])
+    priv.write_text("\n".join([lines[0], f"p = {p:_}", lines[2]]) + "\n")
+    assert rabin_decrypt(priv, ct, tmp_path / "o") == 2
+
+
+def test_rabin_ciphertext_uses_ciphertext_grammar(rabin_files, tmp_path):
+    priv, ct = rabin_files
+    c = int(ct.read_text())
+    ct.write_text(f"{c:#x}\n")
+    assert rabin_decrypt(priv, ct, tmp_path / "hex") == 0
+    assert (tmp_path / "hex").read_bytes() == b"ab"
+    for bad in (f"{c:_}", str(c).translate(_ARABIC_INDIC), f"+{c}"):
+        ct.write_text(bad + "\n", encoding="utf-8")
+        assert rabin_decrypt(priv, ct, tmp_path / "o") == 2

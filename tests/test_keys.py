@@ -7,7 +7,6 @@ from aabeta.keys import (
     KeyPair,
     PrivateKey,
     PublicKey,
-    derive_public,
     format_private_key,
     format_public_key,
     generate_keypair,
@@ -20,21 +19,11 @@ from aabeta.numtheory import is_probable_prime
 import vectors
 
 
-def test_derive_public_reference():
-    priv = PrivateKey(vectors.P16, vectors.Q16, vectors.D16)
-    pub = derive_public(priv, vectors.E_A2_16, 16)
-    assert pub.e_a1 == vectors.E_A1_16
-
-
-def test_derive_public_toy():
-    assert derive_public(PrivateKey(3, 7, 1), 5, 8).e_a1 == 63
-
-
-def test_derive_public_generated_bounds():
+def test_generated_e_a1_is_p_squared_q():
     kp = generate_keypair(16, random.Random(2))
-    pub = derive_public(kp.private, kp.public.e_a2, 16)
-    assert (1 << 48) < pub.e_a1 < (1 << 51)
-    assert pub == kp.public
+    priv = kp.private
+    assert kp.public.e_a1 == priv.p * priv.p * priv.q
+    assert (1 << 48) < kp.public.e_a1 < (1 << 51)
 
 
 def test_reference_keys_fail_strict_but_pass_relaxed():
@@ -132,6 +121,9 @@ def test_key_file_rejects_unknown_and_malformed_fields():
         parse_public_key(good.replace("eA1 = ", "eA1 = -"))
     with pytest.raises(ValueError):
         parse_public_key(good + "n = 16\n")  # duplicate
+    for value in ("١٦", "1_6", "+16"):  # ASCII decimal digits only
+        with pytest.raises(ValueError):
+            parse_public_key(good.replace("n = 16", f"n = {value}"))
 
 
 def test_private_key_pq_property():
