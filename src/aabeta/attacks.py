@@ -41,10 +41,7 @@ __all__ = [
     "lll_reduce",
     "lattice_attack",
     "factor_from_roots",
-    "determinant",
     "report_to_text",
-    "parse_report_text",
-    "reports_to_csv",
 ]
 
 VERDICT_RECOVERED = "recovered"
@@ -239,30 +236,6 @@ def preset_scale(n):
     return 1 << (20 * n)
 
 
-def determinant(rows):
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    a = [list(map(int, r)) for r in rows]
-    size = len(a)
-    if any(len(r) != size for r in a):
-        raise ValueError("square matrix required")
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, size):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def _gso(b):
     """Exact Gram-Schmidt data: (mu, squared norms of the b*_i)."""
     dim = len(b)
@@ -283,16 +256,17 @@ def _gso(b):
     return mu, norms
 
 
-def lll_reduce(basis, delta=Fraction(3, 4)):
+# Lovasz condition parameter of lll_reduce.
+_LLL_DELTA = Fraction(3, 4)
+
+
+def lll_reduce(basis):
     """Lattice reduction with exact rational Gram-Schmidt arithmetic.
 
     Output spans the same lattice, is size-reduced (|mu_ij| <= 1/2) and
-    satisfies the Lovasz condition with the given delta in (1/4, 1).
-    Intended for small dimensions (the attack uses 3).
+    satisfies the Lovasz condition with delta = 3/4. Intended for small
+    dimensions (the attack uses 3).
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
     b = [[int(x) for x in row] for row in basis]
     dim = len(b)
     if any(len(row) != len(b[0]) for row in b):
@@ -310,7 +284,7 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
                 for jj in range(j):
                     mu[k][jj] -= r * mu[j][jj]
                 mu[k][j] = m - r
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -340,7 +314,7 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     """
     t0 = time.perf_counter()
     n = pub.n
-    scale_int = choose_scale(pub, ct) if scale in (None, "auto") else int(scale)
+    scale_int = choose_scale(pub, ct) if scale == "auto" else int(scale)
     basis = build_lattice(pub, ct, scale_int)
     reduced = lll_reduce(basis)
     zero_rows = [r for r in reduced if r[2] == 0]
@@ -458,40 +432,3 @@ def report_to_text(report):
         for key in sorted(data):
             lines.append(f"{section}.{key}: {data[key]}")
     return "\n".join(lines) + "\n"
-
-
-def parse_report_text(text):
-    """Parse the `key: value` report format back to a flat string dict."""
-    out = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(": ")
-        if not sep:
-            raise ValueError(f"malformed report line: {raw!r}")
-        out[key] = value
-    return out
-
-
-def reports_to_csv(reports):
-    """CSV for attack sweeps: attack,n,verdict,budget,elapsed_ms,diagnostics."""
-    import csv
-    import io
-
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["attack", "n", "verdict", "budget", "elapsed_ms", "diagnostics"])
-    for rep in reports:
-        diag = ";".join(f"{k}={rep.diagnostics[k]}" for k in sorted(rep.diagnostics))
-        writer.writerow(
-            [
-                rep.attack,
-                rep.params.get("n", ""),
-                rep.verdict,
-                rep.params.get("budget", ""),
-                f"{rep.elapsed_ms:.3f}",
-                diag,
-            ]
-        )
-    return out.getvalue()

@@ -25,6 +25,7 @@ from .keys import (
     parse_fields,
     parse_private_key,
     parse_public_key,
+    parse_uint,
     validate_keypair,
 )
 
@@ -52,7 +53,7 @@ def _load_keypair(pub_path, priv_path):
 
 
 def _cmd_keygen(args):
-    kp = generate_keypair(args.n, _rng(args.seed), safe_primes=args.safe_primes)
+    kp = generate_keypair(args.n, _rng(args.seed))
     _write_text(args.out_pub, format_public_key(kp.public))
     _write_text(args.out_priv, format_private_key(kp.private, kp.public.n))
     return 0
@@ -109,8 +110,8 @@ def _parse_scale(text):
     if text == "auto":
         return "auto"
     if text.startswith("2^"):
-        return 1 << int(text[2:])
-    return int(text)
+        return 1 << parse_uint(text[2:])
+    return parse_uint(text)
 
 
 def _cmd_attack(args):
@@ -168,7 +169,7 @@ def _cmd_attack(args):
 def _cmd_bench(args):
     rows = bench.run_bench(
         args.schemes.split(","),
-        [int(x) for x in args.n_list.split(",")],
+        [parse_uint(x) for x in args.n_list.split(",")],
         reps=args.reps,
         seed=args.seed,
     )
@@ -208,7 +209,7 @@ def _cmd_rabin_encrypt(args):
     m = _rabin_payload_to_int(Path(args.infile).read_bytes())
     if args.scheme == "redundant":
         c = rabin.encrypt_redundant(pub["N"], m, args.l)
-        _write_text(args.out, f"{c}\n")
+        _write_text(args.out, cipher.format_ciphertext(cipher.Ciphertext(c)))
     else:
         c, parity, jac = rabin.encrypt_extrabits(pub["N"], m)
         _write_text(args.out, f"c = {c}\nparity = {parity}\njacobi = {jac}\n")
@@ -244,9 +245,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a key pair")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--safe-primes", action="store_true")
+    p.add_argument("--n", type=parse_uint, required=True)
+    p.add_argument("--seed", type=parse_uint, default=None)
     p.add_argument("--out-pub", required=True)
     p.add_argument("--out-priv", required=True)
     p.set_defaults(handler=_cmd_keygen)
@@ -255,12 +255,12 @@ def build_parser():
     p.add_argument("--pub", required=True)
     p.add_argument("--in", dest="infile")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=parse_uint, default=None)
     p.add_argument("--insecure-fixed-ephemerals", action="store_true")
-    p.add_argument("--k1", type=int)
-    p.add_argument("--k2", type=int)
-    p.add_argument("--raw-m1", type=int)
-    p.add_argument("--raw-m2", type=int)
+    p.add_argument("--k1", type=parse_uint)
+    p.add_argument("--k2", type=parse_uint)
+    p.add_argument("--raw-m1", type=parse_uint)
+    p.add_argument("--raw-m2", type=parse_uint)
     p.set_defaults(handler=_cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a ciphertext file")
@@ -281,7 +281,7 @@ def build_parser():
     p.add_argument("--pub", required=True)
     p.add_argument("--ct")
     p.add_argument("--priv")
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=parse_uint, default=100_000)
     p.add_argument("--T", default="auto")
     p.add_argument("--report")
     p.add_argument("--known-answer")
@@ -291,8 +291,8 @@ def build_parser():
     p = sub.add_parser("bench", help="run the timing harness, emit CSV")
     p.add_argument("--schemes", default=",".join(bench.SCHEMES))
     p.add_argument("--n-list", default="64,128")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=parse_uint, default=5)
+    p.add_argument("--seed", type=parse_uint, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_bench)
 
@@ -300,8 +300,8 @@ def build_parser():
     rsub = p.add_subparsers(dest="rabin_command", required=True)
 
     rp = rsub.add_parser("keygen")
-    rp.add_argument("--n", type=int, required=True)
-    rp.add_argument("--seed", type=int, default=None)
+    rp.add_argument("--n", type=parse_uint, required=True)
+    rp.add_argument("--seed", type=parse_uint, default=None)
     rp.add_argument("--out-pub", required=True)
     rp.add_argument("--out-priv", required=True)
     rp.set_defaults(handler=_cmd_rabin_keygen)
@@ -311,7 +311,7 @@ def build_parser():
     rp.add_argument("--in", dest="infile", required=True)
     rp.add_argument("--out", required=True)
     rp.add_argument("--scheme", choices=("redundant", "extrabits"), required=True)
-    rp.add_argument("--l", type=int, default=8)
+    rp.add_argument("--l", type=parse_uint, default=8)
     rp.set_defaults(handler=_cmd_rabin_encrypt)
 
     rp = rsub.add_parser("decrypt")
@@ -319,14 +319,14 @@ def build_parser():
     rp.add_argument("--in", dest="infile", required=True)
     rp.add_argument("--out", required=True)
     rp.add_argument("--scheme", choices=("redundant", "extrabits"), required=True)
-    rp.add_argument("--l", type=int, default=8)
+    rp.add_argument("--l", type=parse_uint, default=8)
     rp.set_defaults(handler=_cmd_rabin_decrypt)
 
     rp = rsub.add_parser("ambiguity")
-    rp.add_argument("--l", type=int, default=8)
-    rp.add_argument("--trials", type=int, default=20_000)
-    rp.add_argument("--n", type=int, default=16)
-    rp.add_argument("--seed", type=int, default=0)
+    rp.add_argument("--l", type=parse_uint, default=8)
+    rp.add_argument("--trials", type=parse_uint, default=20_000)
+    rp.add_argument("--n", type=parse_uint, default=16)
+    rp.add_argument("--seed", type=parse_uint, default=0)
     rp.set_defaults(handler=_cmd_rabin_ambiguity)
 
     return parser

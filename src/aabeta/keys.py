@@ -7,6 +7,7 @@ the decryption exponent with e_a2*d = 1 (mod p*q).
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import GenerationFailure
@@ -19,6 +20,7 @@ __all__ = [
     "ValidationReport",
     "generate_keypair",
     "validate_keypair",
+    "parse_uint",
     "parse_fields",
     "format_public_key",
     "parse_public_key",
@@ -64,7 +66,7 @@ class ValidationReport:
 _D_RETRIES = 1000
 
 
-def generate_keypair(n, rng, safe_primes=False):
+def generate_keypair(n, rng):
     """Generate a full key pair at bit size n (n >= 8).
 
     d is sampled uniformly from (e_a1^(4/9), p*q) coprime to p*q, and
@@ -73,10 +75,10 @@ def generate_keypair(n, rng, safe_primes=False):
     """
     if n < 8:
         raise ValueError("n must be at least 8")
-    p = gen_prime_3mod4(n, rng, safe=safe_primes)
+    p = gen_prime_3mod4(n, rng)
     q = p
     while q == p:
-        q = gen_prime_3mod4(n, rng, safe=safe_primes)
+        q = gen_prime_3mod4(n, rng)
     pq = p * q
     e_a1 = p * p * q
     floor_pow = e_a1**4
@@ -145,14 +147,26 @@ def validate_keypair(kp, strict=True):
 
 _PUBLIC_FIELDS = ("n", "eA1", "eA2")
 _PRIVATE_FIELDS = ("n", "p", "q", "d")
+_UINT_TEXT = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
+
+
+def parse_uint(text):
+    """The one integer grammar of every CLI input: ASCII decimal or 0x hex.
+
+    Leading zeros are fine; a sign, `_`, whitespace or non-ASCII digit
+    raises ValueError, as does decimal past CPython's str-to-int limit.
+    """
+    if not _UINT_TEXT.fullmatch(text):
+        raise ValueError(f"not an unsigned integer: {text[:40]!r}")
+    return int(text, 16 if text[:2] in ("0x", "0X") else 10)
 
 
 def parse_fields(text, expected):
     """Parse `name = value` lines into a dict of non-negative integers.
 
     Every name in `expected` must appear exactly once and no other name
-    may appear; values are ASCII decimal digits only (no sign, no
-    underscores). Blank lines are skipped. Raises ValueError otherwise.
+    may appear; each value is read by parse_uint. Blank lines are
+    skipped. Raises ValueError otherwise.
     """
     values = {}
     for raw in text.splitlines():
@@ -162,13 +176,13 @@ def parse_fields(text, expected):
         name, sep, value = line.partition("=")
         name = name.strip()
         value = value.strip()
-        if not sep or not (value.isascii() and value.isdigit()):
+        if not sep:
             raise ValueError(f"malformed line: {raw!r}")
         if name not in expected:
             raise ValueError(f"unknown field: {name!r}")
         if name in values:
             raise ValueError(f"duplicate field: {name!r}")
-        values[name] = int(value)
+        values[name] = parse_uint(value)
     missing = [f for f in expected if f not in values]
     if missing:
         raise ValueError(f"missing fields: {missing}")

@@ -104,25 +104,18 @@ def is_probable_prime(n):
     return _miller_rabin(n, [rnd.randrange(2, n - 1) for _ in range(_MR_ROUNDS)])
 
 
-def gen_prime_3mod4(n, rng, safe=False):
+def gen_prime_3mod4(n, rng):
     """Random probable prime p = 3 (mod 4) with 2^n < p < 2^(n+1).
 
-    With safe=True, p = 2*r + 1 for prime r (such p is automatically
-    3 mod 4). Raises GenerationFailure after 100*n candidates.
+    Raises GenerationFailure after 100*n candidates.
     """
     if n < 4:
         raise ValueError("bit size must be at least 4")
     max_tries = _TRIES_PER_BIT * n
     for _ in range(max_tries):
-        if safe:
-            r = rng.randrange(1 << (n - 1), 1 << n) | 1
-            p = 2 * r + 1
-            if is_probable_prime(r) and is_probable_prime(p):
-                return p
-        else:
-            p = 4 * rng.randrange(1 << (n - 2), 1 << (n - 1)) + 3
-            if is_probable_prime(p):
-                return p
+        p = 4 * rng.randrange(1 << (n - 2), 1 << (n - 1)) + 3
+        if is_probable_prime(p):
+            return p
     raise GenerationFailure(f"no prime found in {max_tries} tries at bit size {n}")
 
 

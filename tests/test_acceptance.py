@@ -16,7 +16,6 @@ from aabeta.attacks import (
     build_lattice,
     congruence_params,
     coppersmith_feasibility,
-    determinant,
     factor_from_roots,
     lattice_attack,
     lll_reduce,
@@ -30,6 +29,7 @@ from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 from aabeta.rabin import redundancy_experiment
 
 import vectors
+from reference import determinant
 
 
 class Budget:
@@ -187,7 +187,7 @@ def test_criterion_6_lattice_attack_and_lll_postconditions():
             det_before = determinant(rows)
             if det_before == 0:
                 continue
-            red = lll_reduce(rows, delta=delta)
+            red = lll_reduce(rows)
             # independent Gram-Schmidt over exact rationals
             bstar, mu = [], []
             for i in range(3):

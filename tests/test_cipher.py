@@ -265,3 +265,12 @@ def test_ciphertext_file_format():
     for bad in ("12x34\n", "١٢٣", "1_234", "+123", "0x_ff", "0x", ""):
         with pytest.raises(ValueError):
             parse_ciphertext(bad)
+
+
+def test_ciphertext_text_round_trips_at_n2048_size():
+    # C's largest size at n = 2048 is 7n + 4 = 14,340 bits: past CPython's
+    # 4300-digit decimal limit, so only the hex form can carry it
+    ct = Ciphertext(random.Random(2048).getrandbits(14_340) | 1 << 14_339)
+    text = format_ciphertext(ct)
+    assert text.startswith("0x")
+    assert parse_ciphertext(text) == ct

@@ -4,9 +4,10 @@ import sys
 import pytest
 
 from aabeta.cli import main
-from aabeta.attacks import parse_report_text
+from aabeta.keys import parse_private_key, parse_public_key
 
 import vectors
+from reference import parse_report_text
 
 
 def run(*argv):
@@ -109,7 +110,7 @@ def test_reference_vector_via_fixed_ephemerals(reference_keys, tmp_path):
         "--k1", str(vectors.K1_16), "--k2", str(vectors.K2_16),
         "--raw-m1", str(vectors.M1_16), "--raw-m2", str(vectors.M2_16),
     ) == 0
-    assert ct.read_text().strip() == str(vectors.C16)
+    assert ct.read_text().strip() == hex(vectors.C16)
 
 
 def test_fixed_ephemerals_require_gate(reference_keys, tmp_path):
@@ -127,7 +128,7 @@ def test_decrypt_corrupted_ciphertext(keys16, tmp_path):
     payload.write_bytes(b"abc")
     assert run("encrypt", "--pub", str(pub), "--in", str(payload),
                "--out", str(ct), "--seed", "2") == 0
-    ct.write_text(str(int(ct.read_text()) + 1) + "\n")
+    ct.write_text(f"{int(ct.read_text(), 16) + 1:#x}\n")
     assert run("decrypt", "--pub", str(pub), "--priv", str(priv),
                "--in", str(ct), "--out", str(tmp_path / "o")) == 4
 
@@ -326,10 +327,50 @@ def test_rabin_private_key_rejects_underscored_value(rabin_files, tmp_path):
 
 def test_rabin_ciphertext_uses_ciphertext_grammar(rabin_files, tmp_path):
     priv, ct = rabin_files
-    c = int(ct.read_text())
-    ct.write_text(f"{c:#x}\n")
-    assert rabin_decrypt(priv, ct, tmp_path / "hex") == 0
-    assert (tmp_path / "hex").read_bytes() == b"ab"
+    c = int(ct.read_text(), 16)
+    ct.write_text(f"{c}\n")  # decimal input is still read
+    assert rabin_decrypt(priv, ct, tmp_path / "dec") == 0
+    assert (tmp_path / "dec").read_bytes() == b"ab"
     for bad in (f"{c:_}", str(c).translate(_ARABIC_INDIC), f"+{c}"):
         ct.write_text(bad + "\n", encoding="utf-8")
         assert rabin_decrypt(priv, ct, tmp_path / "o") == 2
+
+
+def exit_code(*argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("attack", "--kind", "lattice", "--pub", "{pub}", "--ct", "{ct}", "--T", "2^٣٢"),
+        ("keygen", "--n", "١٦", "--out-pub", "{out}", "--out-priv", "{out}"),
+        ("rabin", "ambiguity", "--trials", "1_0"),
+        ("rabin", "ambiguity", "--l", "+8", "--trials", "10"),
+        ("bench", "--schemes", "rabin", "--n-list", " 16"),
+        ("keygen", "--n", "16", "--seed", "-4", "--out-pub", "{out}", "--out-priv", "{out}"),
+    ],
+    ids=["T-non-ascii", "n-non-ascii", "trials-underscore", "l-plus", "n-list-space",
+         "seed-negative"],
+)
+def test_numeric_options_use_the_integer_grammar(argv, reference_keys, tmp_path):
+    pub, _ = reference_keys
+    ct = tmp_path / "ct.txt"
+    ct.write_text(f"{vectors.C16}\n")
+    paths = {"pub": str(pub), "ct": str(ct), "out": str(tmp_path / "out")}
+    assert exit_code(*(arg.format(**paths) for arg in argv)) == 2
+
+
+def test_key_files_accept_hex_values(keys16, tmp_path):
+    pub, priv = keys16
+    hex_pub, hex_priv = tmp_path / "hex-pub.txt", tmp_path / "hex-priv.txt"
+    for src, dst in ((pub, hex_pub), (priv, hex_priv)):
+        lines = (line.partition(" = ") for line in src.read_text().splitlines())
+        dst.write_text("".join(f"{name} = {int(value):#x}\n" for name, _, value in lines))
+    assert parse_public_key(hex_pub.read_text()) == parse_public_key(pub.read_text())
+    assert parse_private_key(hex_priv.read_text()) == parse_private_key(priv.read_text())
+    assert run("validate", "--pub", str(hex_pub), "--priv", str(hex_priv)) == 0

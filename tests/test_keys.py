@@ -14,7 +14,6 @@ from aabeta.keys import (
     parse_public_key,
     validate_keypair,
 )
-from aabeta.numtheory import is_probable_prime
 
 import vectors
 
@@ -58,13 +57,6 @@ def test_generate_deterministic_under_seed():
 def test_generate_strict_valid():
     kp = generate_keypair(16, random.Random(1))
     assert validate_keypair(kp, strict=True).valid
-
-
-def test_generate_safe_primes():
-    kp = generate_keypair(16, random.Random(3), safe_primes=True)
-    assert validate_keypair(kp, strict=True).valid
-    assert is_probable_prime((kp.private.p - 1) // 2)
-    assert is_probable_prime((kp.private.q - 1) // 2)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])

@@ -93,15 +93,6 @@ def test_gen_prime_3mod4_bounds():
         assert is_probable_prime(p)
 
 
-def test_gen_prime_3mod4_safe_mode():
-    rng = random.Random(11)
-    p = gen_prime_3mod4(16, rng, safe=True)
-    assert (1 << 16) < p < (1 << 17)
-    assert p % 4 == 3
-    assert is_probable_prime(p)
-    assert is_probable_prime((p - 1) // 2)
-
-
 def test_gen_prime_3mod4_generation_failure():
     # rng stuck on one composite candidate exhausts the retry budget
     class Stuck:
