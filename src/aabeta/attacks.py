@@ -21,7 +21,6 @@ the verdict is data.
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import FactoringFailure, InconsistentKey
 
@@ -236,61 +235,58 @@ def preset_scale(n):
     return 1 << (20 * n)
 
 
-def _gso(b):
-    """Exact Gram-Schmidt data: (mu, squared norms of the b*_i)."""
-    dim = len(b)
-    bstar = []
-    mu = [[Fraction(0)] * dim for _ in range(dim)]
-    norms = []
-    for i in range(dim):
-        vec = [Fraction(x) for x in b[i]]
-        for j in range(i):
-            m = sum(Fraction(x) * y for x, y in zip(b[i], bstar[j])) / norms[j]
-            mu[i][j] = m
-            vec = [x - m * y for x, y in zip(vec, bstar[j])]
-        norm = sum(x * x for x in vec)
-        if norm == 0:
-            raise ValueError("basis rows are linearly dependent")
-        bstar.append(vec)
-        norms.append(norm)
-    return mu, norms
-
-
-# Lovasz condition parameter of lll_reduce.
-_LLL_DELTA = Fraction(3, 4)
-
-
 def lll_reduce(basis):
-    """Lattice reduction with exact rational Gram-Schmidt arithmetic.
+    """Integral LLL with delta = 3/4 (de Weger 1987; Cohen, Alg. 2.6.7).
 
-    Output spans the same lattice, is size-reduced (|mu_ij| <= 1/2) and
-    satisfies the Lovasz condition with delta = 3/4. Intended for small
-    dimensions (the attack uses 3).
+    d_0 = 1, d_i+1 = |b*_0|^2 ... |b*_i|^2 and lam_ij = d_j+1 * mu_ij stay
+    exact integers. Row k is size-reduced against j = k-1 down to 0 when
+    2|lam_kj| > d_j+1, by r = (2 lam_kj + d_j+1) // (2 d_j+1) = floor(mu_kj + 1/2).
+    Rows k-1 and k swap, updating d_k and lam in place, while the Lovasz
+    test 4 d_k+1 d_k-1 >= 3 d_k^2 - 4 lam_k,k-1^2 fails. The output spans
+    the same lattice with |mu_ij| <= 1/2. Meant for small dimensions.
     """
     b = [[int(x) for x in row] for row in basis]
     dim = len(b)
     if any(len(row) != len(b[0]) for row in b):
         raise ValueError("rows must have equal length")
-    mu, norms = _gso(b)
-    half = Fraction(1, 2)
+    d = [1] * (dim + 1)
+    lam = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
+                raise ValueError("basis rows are linearly dependent")
+            else:
+                d[i + 1] = u
     k = 1
     while k < dim:
         for j in range(k - 1, -1, -1):
-            m = mu[k][j]
-            if m > half or m < -half:
-                r = math.floor(m + half)
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                # size reduction leaves every b*_i fixed; update mu row k
                 for jj in range(j):
-                    mu[k][jj] -= r * mu[j][jj]
-                mu[k][j] = m - r
-        if norms[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+                    lam[k][jj] -= r * lam[j][jj]
+                lam[k][j] -= r * d[j + 1]
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * lk * lk:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = _gso(b)
-            k = max(k - 1, 1)
-    return [row[:] for row in b]
+            continue
+        # columns < k-1 of rows k-1 and k trade places; lam_k,k-1 stays
+        b[k - 1], b[k] = b[k], b[k - 1]
+        lam[k - 1], lam[k] = lam[k], lam[k - 1]
+        lam[k][k - 1] = lk
+        new_dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, dim):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (new_dk * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = new_dk
+        k = max(k - 1, 1)
+    return b
 
 
 def _nearest_isqrt(x):

@@ -95,15 +95,21 @@ def encrypt_trace(pub, msg, eph):
 def decrypt_trace(kp, ct):
     """Run the full decryption pipeline, returning all intermediates.
 
-    Raises InvalidCiphertext when the unmasked value has no square
-    root; candidate filtering outcomes are left in the trace for the
-    caller to judge.
+    Raises InvalidCiphertext before any modexp when C is outside the range
+    the V window and the m1 range allow, and when the unmasked value has no
+    square root; filtering outcomes are left in the trace for the caller.
     """
     pub, priv = kp.public, kp.private
     n = pub.n
     p, q = priv.p, priv.q
     pq = p * q
     c = ct.c
+    v_lo = 1 << (2 * n - 2)
+    v_hi = 1 << (2 * n - 1)
+    c_lo = (((1 << 3 * n) + 1) << n) * pub.e_a1 + (v_lo + 1) ** 2 * pub.e_a2
+    c_hi = ((1 << 4 * n + 1) - 1) * pub.e_a1 + (v_hi - 1) ** 2 * pub.e_a2
+    if not c_lo <= c <= c_hi:
+        raise InvalidCiphertext("ciphertext outside the range of the public key")
     w = c * priv.d % pq
     try:
         x_p = sqrt_mod_p_3mod4(w % p, p)
@@ -111,8 +117,6 @@ def decrypt_trace(kp, ct):
     except NonResidueError as exc:
         raise InvalidCiphertext("unmasked value is not a quadratic residue") from exc
     roots = four_roots(x_p, x_q, p, q)
-    v_lo = 1 << (2 * n - 2)
-    v_hi = 1 << (2 * n - 1)
     accepted = []
     for v in dict.fromkeys(roots):  # collapse duplicate roots (x_p or x_q zero)
         if not v_lo < v < v_hi:

@@ -1,9 +1,16 @@
 """Reference helpers that only the tests use.
 
 `determinant` is the independent check on lattice bases (LLL keeps the
-absolute determinant); `parse_report_text` reads the `key: value`
-report that `attacks.report_to_text` writes.
+absolute determinant); `rational_lll` is the textbook LLL over exact
+`Fraction` Gram-Schmidt data, the oracle that the integral
+`attacks.lll_reduce` must match bit for bit; `parse_report_text` reads
+the `key: value` report that `attacks.report_to_text` writes;
+`ciphertext_range` restates the [C_lo, C_hi] bounds that `decrypt`
+checks before any modexp.
 """
+
+import math
+from fractions import Fraction
 
 
 def determinant(rows):
@@ -30,6 +37,63 @@ def determinant(rows):
     return sign * a[-1][-1]
 
 
+def _gso(b):
+    """Exact Gram-Schmidt data: (mu, squared norms of the b*_i)."""
+    dim = len(b)
+    bstar = []
+    mu = [[Fraction(0)] * dim for _ in range(dim)]
+    norms = []
+    for i in range(dim):
+        vec = [Fraction(x) for x in b[i]]
+        for j in range(i):
+            m = sum(Fraction(x) * y for x, y in zip(b[i], bstar[j])) / norms[j]
+            mu[i][j] = m
+            vec = [x - m * y for x, y in zip(vec, bstar[j])]
+        norm = sum(x * x for x in vec)
+        if norm == 0:
+            raise ValueError("basis rows are linearly dependent")
+        bstar.append(vec)
+        norms.append(norm)
+    return mu, norms
+
+
+# Lovasz condition parameter of rational_lll.
+_LLL_DELTA = Fraction(3, 4)
+
+
+def rational_lll(basis):
+    """Lattice reduction with exact rational Gram-Schmidt arithmetic.
+
+    Output spans the same lattice, is size-reduced (|mu_ij| <= 1/2) and
+    satisfies the Lovasz condition with delta = 3/4. The Gram-Schmidt
+    data is recomputed from scratch after every swap.
+    """
+    b = [[int(x) for x in row] for row in basis]
+    dim = len(b)
+    if any(len(row) != len(b[0]) for row in b):
+        raise ValueError("rows must have equal length")
+    mu, norms = _gso(b)
+    half = Fraction(1, 2)
+    k = 1
+    while k < dim:
+        for j in range(k - 1, -1, -1):
+            m = mu[k][j]
+            if m > half or m < -half:
+                r = math.floor(m + half)
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                # size reduction leaves every b*_i fixed; update mu row k
+                for jj in range(j):
+                    mu[k][jj] -= r * mu[j][jj]
+                mu[k][j] = m - r
+        if norms[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = _gso(b)
+            k = max(k - 1, 1)
+    return [row[:] for row in b]
+
+
 def parse_report_text(text):
     """Parse the `key: value` report format back to a flat string dict."""
     out = {}
@@ -42,3 +106,15 @@ def parse_report_text(text):
             raise ValueError(f"malformed report line: {raw!r}")
         out[key] = value
     return out
+
+
+def ciphertext_range(pub):
+    """[C_lo, C_hi]: C = U*e_a1 + V^2*e_a2 at the extremes that decryption accepts.
+
+    U = m1*2^n + k1 with m1 in (2^(3n), 2^(3n+1)) lies in
+    [(2^(3n)+1)*2^n, 2^(4n+1)-1]; V lies in (2^(2n-2), 2^(2n-1)).
+    """
+    n, e_a1, e_a2 = pub.n, pub.e_a1, pub.e_a2
+    c_lo = ((1 << 3 * n) + 1) * (1 << n) * e_a1 + ((1 << 2 * n - 2) + 1) ** 2 * e_a2
+    c_hi = ((1 << 4 * n + 1) - 1) * e_a1 + ((1 << 2 * n - 1) - 1) ** 2 * e_a2
+    return c_lo, c_hi

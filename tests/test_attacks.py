@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aabeta import attacks
 from aabeta.attacks import (
@@ -29,7 +31,7 @@ from aabeta.keys import PublicKey, generate_keypair
 from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
 import vectors
-from reference import determinant, parse_report_text
+from reference import determinant, parse_report_text, rational_lll
 
 
 def _random_instance(n, seed):
@@ -325,6 +327,61 @@ def test_lll_reference_lattice_shape_and_regression():
         [247367271832221073, 4155888875658045598, 0],
         [-1118395942494397, 66856738131713, t],
     ]
+
+
+@st.composite
+def integer_bases(draw):
+    """Square integer bases of dimension 2-5 with |entries| < 2^130.
+
+    Half of them get one row replaced by an integer combination of the
+    others, so dependent inputs are drawn as often as independent ones.
+    """
+    dim = draw(st.integers(min_value=2, max_value=5))
+    dependent = draw(st.booleans())
+    # a sum of four rows times |coefficients| <= 2 stays below 2^130; entries
+    # of 1-3 bits hit the ties (|mu| = 1/2, mu + 1/2 integral, Lovasz equality)
+    bits = draw(
+        st.integers(min_value=1, max_value=3)
+        | st.integers(min_value=4, max_value=126 if dependent else 130)
+    )
+    entries = st.integers(min_value=-(1 << bits) + 1, max_value=(1 << bits) - 1)
+    rows = draw(st.lists(
+        st.lists(entries, min_size=dim, max_size=dim), min_size=dim, max_size=dim
+    ))
+    if dependent:
+        i = draw(st.integers(min_value=0, max_value=dim - 1))
+        coeffs = draw(st.lists(
+            st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim
+        ))
+        coeffs[i] = 0
+        rows[i] = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)]
+    return rows
+
+
+def _outcome(reduce, basis):
+    try:
+        return reduce(basis)
+    except ValueError:
+        return ValueError
+
+
+@settings(deadline=None)
+@given(integer_bases())
+@example([[2, 0], [1, 1]])  # mu = 1/2: not size-reduced
+@example([[0, 3], [1, -1]])  # rounding a half-integral mu
+@example([[-1, 0, 1], [-3, 0, 1], [1, 1, -2]])  # Lovasz test holds with equality
+def test_lll_matches_rational_oracle(basis):
+    # the integral d/lam updates must reproduce the Fraction LLL bit for bit,
+    # including which inputs are rejected as dependent
+    expected = _outcome(rational_lll, basis)
+    assert _outcome(lll_reduce, basis) == expected
+    assert (expected is ValueError) == (determinant(basis) == 0)
+
+
+def test_lll_matches_rational_oracle_on_n128_attack_lattice():
+    kp, trace = _random_instance(128, 1)
+    basis = build_lattice(kp.public, trace.ciphertext, preset_scale(128))
+    assert lll_reduce(basis) == rational_lll(basis)
 
 
 def test_lattice_contains_solution_vector():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from aabeta import cipher
 from aabeta.cipher import (
     Ciphertext,
     EphemeralPair,
@@ -14,11 +15,12 @@ from aabeta.cipher import (
     parse_ciphertext,
     sample_ephemerals,
 )
-from aabeta.codec import capacity_bytes, decode, encode
+from aabeta.codec import EncodedMessage, capacity_bytes, decode, encode
 from aabeta.errors import InvalidCiphertext, ParameterViolation
 from aabeta.keys import KeyPair, PrivateKey, PublicKey, generate_keypair
 
 import vectors
+from reference import ciphertext_range
 
 
 def test_reference_encryption_intermediates():
@@ -61,6 +63,36 @@ def test_reference_root_identities():
 def test_tampered_ciphertext_rejected():
     with pytest.raises(InvalidCiphertext):
         decrypt(vectors.keypair(), Ciphertext(vectors.C16 + 1))
+
+
+def test_ciphertext_range_edges_are_reachable():
+    # the largest message with the largest session values lands on C_hi,
+    # and the smallest ones just above C_lo; both decrypt
+    n = 16
+    kp = generate_keypair(n, random.Random(3))
+    c_lo, c_hi = ciphertext_range(kp.public)
+    top = EncodedMessage((1 << 3 * n + 1) - 1, (1 << n - 1) - 1, n)
+    k_max = (1 << n) - 1
+    ct = encrypt_with_ephemerals(kp.public, top, EphemeralPair(k_max, k_max))
+    assert ct.c == c_hi
+    assert decrypt(kp, ct) == top
+    low = (1 << n - 1) + 1
+    ct = encrypt_with_ephemerals(kp.public, encode(b"", n), EphemeralPair(low, low))
+    assert c_lo < ct.c
+    assert decode(decrypt(kp, ct)) == b""
+
+
+def test_out_of_range_ciphertexts_rejected_before_any_root(monkeypatch):
+    def no_root(*args):
+        raise AssertionError("square root taken for an out-of-range ciphertext")
+
+    monkeypatch.setattr(cipher, "sqrt_mod_p_3mod4", no_root)
+    for kp in (vectors.keypair(), generate_keypair(16, random.Random(3))):
+        c_lo, c_hi = ciphertext_range(kp.public)
+        huge = random.Random(6).getrandbits(10**6) | 1 << 10**6 - 1
+        for c in (c_lo - 1, c_hi + 1, 0, huge):
+            with pytest.raises(InvalidCiphertext):
+                decrypt(kp, Ciphertext(c))
 
 
 def test_encrypt_randomizes():
@@ -126,9 +158,13 @@ def test_double_acceptance_raises_parameter_violation():
     lo, hi = 1 << (2 * n - 2), 1 << (2 * n - 1)
     assert lo < v_a < hi and lo < v_b < hi
     kp = KeyPair(PublicKey(n, e_a1, 1), PrivateKey(p, q, 1))
-    c = 100 * e_a1 + v_a * v_a
+    # U = m1*2^n + k1 with m1 and k1 in range, so C passes the range check
+    u = (((1 << 3 * n) + 100) << n) + (1 << n - 1) + 1
     with pytest.raises(ParameterViolation):
-        decrypt(kp, Ciphertext(c))
+        decrypt(kp, Ciphertext(u * e_a1 + v_a * v_a))
+    # with U = 100 the same pair lies below C_lo: rejected before any root
+    with pytest.raises(InvalidCiphertext):
+        decrypt(kp, Ciphertext(100 * e_a1 + v_a * v_a))
 
 
 class OpCountingInt:
@@ -237,8 +273,6 @@ class OpCountingInt:
 
 
 def test_encryption_uses_no_division_and_no_modular_reduction():
-    from aabeta.codec import EncodedMessage
-
     counts = {}
     msg = EncodedMessage(
         OpCountingInt(vectors.M1_16, counts),

@@ -7,7 +7,7 @@ from aabeta.cli import main
 from aabeta.keys import parse_private_key, parse_public_key
 
 import vectors
-from reference import parse_report_text
+from reference import ciphertext_range, parse_report_text
 
 
 def run(*argv):
@@ -131,6 +131,18 @@ def test_decrypt_corrupted_ciphertext(keys16, tmp_path):
     ct.write_text(f"{int(ct.read_text(), 16) + 1:#x}\n")
     assert run("decrypt", "--pub", str(pub), "--priv", str(priv),
                "--in", str(ct), "--out", str(tmp_path / "o")) == 4
+
+
+def test_decrypt_out_of_range_ciphertext(keys16, tmp_path):
+    # C_hi + 1 (one past the largest C the public key allows) and a
+    # 10^6-bit C both exit with the invalid-ciphertext code
+    pub, priv = keys16
+    _, c_hi = ciphertext_range(parse_public_key(pub.read_text()))
+    ct = tmp_path / "ct.txt"
+    for c in (c_hi + 1, 1 << 10**6):
+        ct.write_text(f"{c:#x}\n")
+        assert run("decrypt", "--pub", str(pub), "--priv", str(priv),
+                   "--in", str(ct), "--out", str(tmp_path / "o")) == 4
 
 
 def test_missing_input_file_is_io_error(keys16, tmp_path):
