@@ -10,7 +10,6 @@ from .cipher import (
     EphemeralPair,
     decrypt,
     encrypt,
-    encrypt_with_ephemerals,
 )
 from .codec import EncodedMessage, capacity_bytes, decode, encode
 from .errors import (
@@ -46,7 +45,6 @@ __all__ = [
     "decrypt",
     "encode",
     "encrypt",
-    "encrypt_with_ephemerals",
     "generate_keypair",
     "validate_keypair",
     "CryptoError",

@@ -153,7 +153,7 @@ def _aabeta_ops(kp, n, payload_bytes, rng):
     def seal(item):
         m1, m2, k1, k2 = item
         msg = codec.EncodedMessage(m1, m2, n)
-        return cipher.encrypt_with_ephemerals(pub, msg, cipher.EphemeralPair(k1, k2))
+        return cipher.encrypt_trace(pub, msg, cipher.EphemeralPair(k1, k2)).ciphertext
 
     def enc_kernel(items):
         two_n = 1 << n

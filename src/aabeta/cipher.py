@@ -24,13 +24,10 @@ __all__ = [
     "Ciphertext",
     "EphemeralPair",
     "EncryptionTrace",
-    "DecryptionTrace",
     "sample_ephemerals",
     "encrypt",
-    "encrypt_with_ephemerals",
     "encrypt_trace",
     "decrypt",
-    "decrypt_trace",
     "format_ciphertext",
     "parse_ciphertext",
 ]
@@ -54,14 +51,6 @@ class EncryptionTrace:
     ciphertext: Ciphertext
 
 
-@dataclass(frozen=True)
-class DecryptionTrace:
-    w: int
-    roots: tuple
-    accepted: tuple  # (u, v) pairs passing divisibility + V window
-    message: object  # EncodedMessage when exactly one candidate is in range
-
-
 def sample_ephemerals(n, rng):
     """Fresh session pair, each uniform in (2^(n-1), 2^n)."""
     lo = 1 << (n - 1)
@@ -69,16 +58,14 @@ def sample_ephemerals(n, rng):
 
 
 def encrypt(pub, msg, rng):
-    return encrypt_with_ephemerals(pub, msg, sample_ephemerals(pub.n, rng))
-
-
-def encrypt_with_ephemerals(pub, msg, eph):
-    """Deterministic encryption with caller-supplied session values."""
-    return encrypt_trace(pub, msg, eph).ciphertext
+    return encrypt_trace(pub, msg, sample_ephemerals(pub.n, rng)).ciphertext
 
 
 def encrypt_trace(pub, msg, eph):
-    """Like encrypt_with_ephemerals but exposing the intermediates."""
+    """Deterministic encryption with caller-supplied session values.
+
+    Returns U and V alongside the ciphertext.
+    """
     n = pub.n
     if msg.n != n:
         raise ValueError(f"message encoded for n={msg.n}, key has n={n}")
@@ -92,17 +79,21 @@ def encrypt_trace(pub, msg, eph):
     return EncryptionTrace(u, v, Ciphertext(c))
 
 
-def decrypt_trace(kp, ct):
-    """Run the full decryption pipeline, returning all intermediates.
+def decrypt(kp, ct):
+    """Recover the message pair from a ciphertext.
 
     Raises InvalidCiphertext before any modexp when C is outside the range
-    the V window and the m1 range allow, and when the unmasked value has no
-    square root; filtering outcomes are left in the trace for the caller.
+    the V window and the m1 range allow, and when the unmasked value
+    W = C*d mod p*q has no square root. Exactly one of the four roots of W
+    may pass the V window and divide the ciphertext equation: zero
+    candidates, or one whose (U >> n, V >> n) lies outside the message
+    ranges, means the ciphertext is not a valid encryption under this key
+    (InvalidCiphertext); two or more means the key itself violates the
+    uniqueness window (ParameterViolation).
     """
     pub, priv = kp.public, kp.private
     n = pub.n
     p, q = priv.p, priv.q
-    pq = p * q
     c = ct.c
     v_lo = 1 << (2 * n - 2)
     v_hi = 1 << (2 * n - 1)
@@ -110,47 +101,34 @@ def decrypt_trace(kp, ct):
     c_hi = ((1 << 4 * n + 1) - 1) * pub.e_a1 + (v_hi - 1) ** 2 * pub.e_a2
     if not c_lo <= c <= c_hi:
         raise InvalidCiphertext("ciphertext outside the range of the public key")
-    w = c * priv.d % pq
+    w = c * priv.d % (p * q)
     try:
         x_p = sqrt_mod_p_3mod4(w % p, p)
         x_q = sqrt_mod_p_3mod4(w % q, q)
     except NonResidueError as exc:
         raise InvalidCiphertext("unmasked value is not a quadratic residue") from exc
-    roots = four_roots(x_p, x_q, p, q)
     accepted = []
-    for v in dict.fromkeys(roots):  # collapse duplicate roots (x_p or x_q zero)
+    # dict.fromkeys collapses duplicate roots (x_p or x_q zero)
+    for v in dict.fromkeys(four_roots(x_p, x_q, p, q)):
         if not v_lo < v < v_hi:
             continue
         num = c - v * v * pub.e_a2
         if num < 0 or num % pub.e_a1:
             continue
         accepted.append((num // pub.e_a1, v))
-    message = None
-    if len(accepted) == 1:
-        u, v = accepted[0]
-        try:
-            message = EncodedMessage(u >> n, v >> n, n)
-        except ValueError:
-            message = None
-    return DecryptionTrace(w, roots, tuple(accepted), message)
-
-
-def decrypt(kp, ct):
-    """Recover the message pair from a ciphertext.
-
-    Exactly one of the four candidate roots may pass the integrality
-    and window filters; zero candidates means the ciphertext is not a
-    valid encryption under this key, two or more means the key itself
-    violates the uniqueness window.
-    """
-    trace = decrypt_trace(kp, ct)
-    if len(trace.accepted) > 1:
+    if len(accepted) > 1:
         raise ParameterViolation(
-            f"{len(trace.accepted)} candidates accepted; key breaks uniqueness"
+            f"{len(accepted)} candidates accepted; key breaks uniqueness"
         )
-    if not trace.accepted or trace.message is None:
+    if not accepted:
         raise InvalidCiphertext("no candidate root satisfies the ciphertext equation")
-    return trace.message
+    [(u, v)] = accepted
+    try:
+        return EncodedMessage(u >> n, v >> n, n)
+    except ValueError as exc:
+        raise InvalidCiphertext(
+            "the accepted root gives a message outside the message ranges"
+        ) from exc
 
 
 def format_ciphertext(ct):

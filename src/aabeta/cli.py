@@ -77,7 +77,8 @@ def _cmd_encrypt(args):
     if args.k1 is not None or args.k2 is not None:
         if args.k1 is None or args.k2 is None:
             raise ValueError("--k1 and --k2 must be given together")
-        ct = cipher.encrypt_with_ephemerals(pub, msg, cipher.EphemeralPair(args.k1, args.k2))
+        eph = cipher.EphemeralPair(args.k1, args.k2)
+        ct = cipher.encrypt_trace(pub, msg, eph).ciphertext
     else:
         ct = cipher.encrypt(pub, msg, _rng(args.seed))
     _write_text(args.out, cipher.format_ciphertext(ct))

@@ -31,7 +31,6 @@ def _sieve(bound):
 
 
 _SMALL_PRIMES = _sieve(1 << 11)
-_SMALL_PRIME_LIMIT = _SMALL_PRIMES[-1] ** 2
 
 # Proven-deterministic Miller-Rabin witness set for n < 3.317e24 (covers 2^64).
 _WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

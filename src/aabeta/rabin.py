@@ -147,6 +147,8 @@ def redundancy_experiment(n, l, trials, rng):
     ambiguous when more than one root carries the tag. The correct
     payload is always among the matches, which the trial asserts.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     ambiguous = 0
     for _ in range(trials):
         kp = keygen(n, rng)

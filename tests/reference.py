@@ -6,11 +6,15 @@ absolute determinant); `rational_lll` is the textbook LLL over exact
 `attacks.lll_reduce` must match bit for bit; `parse_report_text` reads
 the `key: value` report that `attacks.report_to_text` writes;
 `ciphertext_range` restates the [C_lo, C_hi] bounds that `decrypt`
-checks before any modexp.
+checks before any modexp; `unmasked_roots` recomputes its unmasked
+value and four roots from the public primitives, and `accepted_roots`
+restates its window and divisibility filter over those roots.
 """
 
 import math
 from fractions import Fraction
+
+from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
 
 def determinant(rows):
@@ -118,3 +122,21 @@ def ciphertext_range(pub):
     c_lo = ((1 << 3 * n) + 1) * (1 << n) * e_a1 + ((1 << 2 * n - 2) + 1) ** 2 * e_a2
     c_hi = ((1 << 4 * n + 1) - 1) * e_a1 + ((1 << 2 * n - 1) - 1) ** 2 * e_a2
     return c_lo, c_hi
+
+
+def unmasked_roots(kp, c):
+    """W = C*d mod p*q and its four square roots, by the primitives decrypt uses."""
+    p, q = kp.private.p, kp.private.q
+    w = c * kp.private.d % (p * q)
+    return w, four_roots(sqrt_mod_p_3mod4(w % p, p), sqrt_mod_p_3mod4(w % q, q), p, q)
+
+
+def accepted_roots(pub, c, roots):
+    """(U, V) for each root V in (2^(2n-2), 2^(2n-1)) where C - V^2*e_a2 = U*e_a1 >= 0."""
+    lo, hi = 1 << 2 * pub.n - 2, 1 << 2 * pub.n - 1
+    out = []
+    for v in roots:
+        u, rem = divmod(c - v * v * pub.e_a2, pub.e_a1)
+        if lo < v < hi and u >= 0 and rem == 0:
+            out.append((u, v))
+    return out

@@ -22,14 +22,14 @@ from aabeta.attacks import (
     preset_scale,
 )
 from aabeta.bench import run_bench
-from aabeta.cipher import decrypt_trace, encrypt_trace, sample_ephemerals
+from aabeta.cipher import decrypt, encrypt_trace, sample_ephemerals
 from aabeta.codec import capacity_bytes, encode
 from aabeta.keys import generate_keypair, validate_keypair
 from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 from aabeta.rabin import redundancy_experiment
 
 import vectors
-from reference import determinant
+from reference import accepted_roots, determinant, unmasked_roots
 
 
 class Budget:
@@ -59,15 +59,16 @@ def test_criterion_1_reference_worked_example_bit_exact():
         assert enc.u == vectors.U16
         assert enc.v == vectors.V16
         assert enc.ciphertext.c == vectors.C16
-        dec = decrypt_trace(vectors.keypair(), enc.ciphertext)
-        assert dec.w == vectors.W16
-        assert dec.roots == vectors.ROOTS16
-        assert len(dec.accepted) == 1
-        u, v = dec.accepted[0]
-        assert v == vectors.ROOTS16[2]  # only the third root yields an integer
-        assert u == vectors.U16
-        assert dec.message.m1 == vectors.M1_16
-        assert dec.message.m2 == vectors.M2_16
+        kp = vectors.keypair()
+        w, roots = unmasked_roots(kp, enc.ciphertext.c)
+        assert w == vectors.W16
+        assert roots == vectors.ROOTS16
+        # only the third root yields an integer
+        accepted = accepted_roots(kp.public, enc.ciphertext.c, roots)
+        assert accepted == [(vectors.U16, vectors.ROOTS16[2])]
+        dec = decrypt(kp, enc.ciphertext)
+        assert dec.m1 == vectors.M1_16
+        assert dec.m2 == vectors.M2_16
 
 
 def test_criterion_2_uniqueness_of_accepted_candidate():
@@ -81,9 +82,8 @@ def test_criterion_2_uniqueness_of_accepted_candidate():
                 for _ in range(10):
                     msg = encode(rng.randbytes(rng.randrange(cap + 1)), n)
                     enc = encrypt_trace(kp.public, msg, sample_ephemerals(n, rng))
-                    dec = decrypt_trace(kp, enc.ciphertext)
-                    assert len(dec.accepted) == 1, (n, k)
-                    assert dec.message == msg
+                    # decrypt returns only when exactly one candidate is accepted
+                    assert decrypt(kp, enc.ciphertext) == msg, (n, k)
                     trials += 1
         assert trials == 400
 

@@ -7,10 +7,8 @@ from aabeta.cipher import (
     Ciphertext,
     EphemeralPair,
     decrypt,
-    decrypt_trace,
     encrypt,
     encrypt_trace,
-    encrypt_with_ephemerals,
     format_ciphertext,
     parse_ciphertext,
     sample_ephemerals,
@@ -20,7 +18,7 @@ from aabeta.errors import InvalidCiphertext, ParameterViolation
 from aabeta.keys import KeyPair, PrivateKey, PublicKey, generate_keypair
 
 import vectors
-from reference import ciphertext_range
+from reference import accepted_roots, ciphertext_range, unmasked_roots
 
 
 def test_reference_encryption_intermediates():
@@ -36,28 +34,29 @@ def test_reference_ciphertext_by_independent_dot_product():
     u = vectors.M1_16 * 2**16 + vectors.K1_16
     v = vectors.M2_16 * 2**16 + vectors.K2_16
     assert u * vectors.E_A1_16 + v * v * vectors.E_A2_16 == vectors.C16
-    ct = encrypt_with_ephemerals(
+    ct = encrypt_trace(
         vectors.public_key(), vectors.message(), vectors.ephemerals()
-    )
+    ).ciphertext
     assert ct.c == vectors.C16
 
 
 def test_reference_decryption_pipeline():
-    trace = decrypt_trace(vectors.keypair(), vectors.ciphertext())
-    assert trace.w == vectors.W16
-    assert trace.roots == vectors.ROOTS16
-    assert len(trace.accepted) == 1
-    u, v = trace.accepted[0]
-    assert v == vectors.ROOTS16[2]  # only the third root divides exactly
-    assert u == vectors.U16
-    assert trace.message.m1 == vectors.M1_16
-    assert trace.message.m2 == vectors.M2_16
+    kp = vectors.keypair()
+    w, roots = unmasked_roots(kp, vectors.C16)
+    assert w == vectors.W16
+    assert roots == vectors.ROOTS16
+    # only the third root divides exactly
+    accepted = accepted_roots(kp.public, vectors.C16, roots)
+    assert accepted == [(vectors.U16, vectors.ROOTS16[2])]
+    msg = decrypt(kp, vectors.ciphertext())
+    assert msg.m1 == vectors.M1_16
+    assert msg.m2 == vectors.M2_16
 
 
 def test_reference_root_identities():
-    trace = decrypt_trace(vectors.keypair(), vectors.ciphertext())
-    for root in trace.roots:
-        assert root * root % vectors.PQ16 == trace.w
+    assert vectors.C16 * vectors.D16 % vectors.PQ16 == vectors.W16
+    for root in vectors.ROOTS16:
+        assert root * root % vectors.PQ16 == vectors.W16
 
 
 def test_tampered_ciphertext_rejected():
@@ -73,11 +72,11 @@ def test_ciphertext_range_edges_are_reachable():
     c_lo, c_hi = ciphertext_range(kp.public)
     top = EncodedMessage((1 << 3 * n + 1) - 1, (1 << n - 1) - 1, n)
     k_max = (1 << n) - 1
-    ct = encrypt_with_ephemerals(kp.public, top, EphemeralPair(k_max, k_max))
+    ct = encrypt_trace(kp.public, top, EphemeralPair(k_max, k_max)).ciphertext
     assert ct.c == c_hi
     assert decrypt(kp, ct) == top
     low = (1 << n - 1) + 1
-    ct = encrypt_with_ephemerals(kp.public, encode(b"", n), EphemeralPair(low, low))
+    ct = encrypt_trace(kp.public, encode(b"", n), EphemeralPair(low, low)).ciphertext
     assert c_lo < ct.c
     assert decode(decrypt(kp, ct)) == b""
 
@@ -109,9 +108,9 @@ def test_ephemeral_range_enforced():
     kp = generate_keypair(16, random.Random(1))
     msg = encode(b"abc", 16)
     with pytest.raises(ValueError):
-        encrypt_with_ephemerals(kp.public, msg, EphemeralPair(1 << 15, 40000))
+        encrypt_trace(kp.public, msg, EphemeralPair(1 << 15, 40000))
     with pytest.raises(ValueError):
-        encrypt_with_ephemerals(kp.public, msg, EphemeralPair(40000, 1 << 16))
+        encrypt_trace(kp.public, msg, EphemeralPair(40000, 1 << 16))
 
 
 def test_message_key_size_mismatch():
@@ -131,19 +130,40 @@ def test_round_trip_uniqueness_and_consistency(n):
         payload = rng.randbytes(rng.randrange(cap + 1))
         msg = encode(payload, n)
         enc = encrypt_trace(kp.public, msg, sample_ephemerals(n, rng))
-        dec = decrypt_trace(kp, enc.ciphertext)
-        # exactly one candidate passes integrality + window, every time
-        assert len(dec.accepted) == 1
-        assert dec.message == msg
-        assert decode(dec.message) == payload
+        c = enc.ciphertext.c
+        # decrypt returns only when exactly one candidate passes
+        # integrality + window, every time
+        dec = decrypt(kp, enc.ciphertext)
+        assert dec == msg
+        assert decode(dec) == payload
         # unmasked value equals the encryption-side square
-        assert dec.w == enc.v * enc.v % pq
-        assert all(r * r % pq == dec.w for r in dec.roots)
+        w, roots = unmasked_roots(kp, c)
+        assert w == enc.v * enc.v % pq
+        assert all(r * r % pq == w for r in roots)
+        assert accepted_roots(kp.public, c, roots) == [(enc.u, enc.v)]
         assert (1 << (4 * n)) < enc.u < (1 << (4 * n + 1))
         assert (1 << (2 * n - 2)) < enc.v < (1 << (2 * n - 1))
         # direct big-integer recomputation of the two-term combination
         e1, e2 = kp.public.e_a1, kp.public.e_a2
         assert enc.ciphertext.c == enc.u * e1 + enc.v * enc.v * e2
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_out_of_range_message_rejected(n):
+    # U carries an in-range m1, but V = 2^(2n-2)+1 gives m2 = 2^(n-2), just
+    # outside (2^(n-2), 2^(n-1)); C still lies inside [C_lo, C_hi]
+    kp = generate_keypair(n, random.Random(f"m2-range:{n}"))
+    u = (((1 << 3 * n) + 1) << n) + (1 << n - 1) + 1
+    v = (1 << 2 * n - 2) + 1
+    c = u * kp.public.e_a1 + v * v * kp.public.e_a2
+    c_lo, c_hi = ciphertext_range(kp.public)
+    assert c_lo <= c <= c_hi
+    # exactly one root satisfies the ciphertext equation...
+    assert accepted_roots(kp.public, c, unmasked_roots(kp, c)[1]) == [(u, v)]
+    # ...so the rejection names the message range, chained from the codec check
+    with pytest.raises(InvalidCiphertext, match="outside the message ranges") as info:
+        decrypt(kp, Ciphertext(c))
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_double_acceptance_raises_parameter_violation():

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import aabeta
 from aabeta.cli import main
 from aabeta.keys import parse_private_key, parse_public_key
 
@@ -260,11 +263,21 @@ def test_rabin_ambiguity_experiment(capsys):
     assert "rate = " in out
 
 
+def test_rabin_ambiguity_zero_trials_exit_2(capsys):
+    assert run("rabin", "ambiguity", "--trials", "0", "--n", "16") == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
 def test_console_script_help():
+    # the subprocess does not see pytest's sys.path, so point it at the
+    # directory that holds the aabeta package imported here
+    src = str(Path(aabeta.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "aabeta.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "keygen" in proc.stdout
