@@ -72,14 +72,6 @@ class AttackReport:
     elapsed_ms: float = 0.0
 
 
-def _log2_int(x):
-    """float log2 of a positive integer of any size."""
-    bits = x.bit_length()
-    if bits <= 64:
-        return math.log2(x)
-    return math.log2(x >> (bits - 64)) + (bits - 64)
-
-
 def congruence_params(pub, ct):
     """Base point (a, b) of the parametric solution family and the scan windows."""
     try:
@@ -317,7 +309,7 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     scale_rows = [r for r in reduced if abs(r[2]) == scale_int]
 
     det = ct.c * scale_int
-    sigma_log2 = 0.5 * math.log2(3 / (2 * math.pi * math.e)) + _log2_int(det) / 3
+    sigma_log2 = 0.5 * math.log2(3 / (2 * math.pi * math.e)) + math.log2(det) / 3
     sigma = 2.0**sigma_log2 if sigma_log2 < 1020 else math.inf
 
     v_lo = 1 << (2 * n - 2)
@@ -348,7 +340,7 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
         "sigma": sigma,
         "sigma_log2": sigma_log2,
         "row_norms_log2": tuple(
-            round(0.5 * _log2_int(sum(x * x for x in row)), 3) for row in reduced
+            round(0.5 * math.log2(sum(x * x for x in row)), 3) for row in reduced
         ),
     }
     if u_true is not None and v_true is not None:

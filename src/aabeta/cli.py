@@ -32,10 +32,6 @@ from .keys import (
 _ATTACK_KINDS = ("congruence", "coppersmith", "euclid", "lattice", "factor-from-roots")
 
 
-def _rng(seed):
-    return random.Random(seed)
-
-
 def _read_text(path):
     return Path(path).read_text(encoding="utf-8")
 
@@ -53,7 +49,7 @@ def _load_keypair(pub_path, priv_path):
 
 
 def _cmd_keygen(args):
-    kp = generate_keypair(args.n, _rng(args.seed))
+    kp = generate_keypair(args.n, random.Random(args.seed))
     _write_text(args.out_pub, format_public_key(kp.public))
     _write_text(args.out_priv, format_private_key(kp.private, kp.public.n))
     return 0
@@ -80,7 +76,7 @@ def _cmd_encrypt(args):
         eph = cipher.EphemeralPair(args.k1, args.k2)
         ct = cipher.encrypt_trace(pub, msg, eph).ciphertext
     else:
-        ct = cipher.encrypt(pub, msg, _rng(args.seed))
+        ct = cipher.encrypt(pub, msg, random.Random(args.seed))
     _write_text(args.out, cipher.format_ciphertext(ct))
     return 0
 
@@ -107,12 +103,15 @@ def _cmd_validate(args):
     return 4
 
 
-def _parse_scale(text):
+def _parse_scale(text, n):
+    """--T: `auto`, `2^k` or an integer, at most 2^(32n); k is clamped before the shift."""
     if text == "auto":
         return "auto"
-    if text.startswith("2^"):
-        return 1 << parse_uint(text[2:])
-    return parse_uint(text)
+    cap = 32 * n
+    scale = 1 << min(parse_uint(text[2:]), cap + 1) if text[:2] == "2^" else parse_uint(text)
+    if scale > 1 << cap:
+        raise ValueError(f"--T must be at most 2^{cap} (2^(32n))")
+    return scale
 
 
 def _cmd_attack(args):
@@ -143,7 +142,7 @@ def _cmd_attack(args):
         report = attacks.lattice_attack(
             pub,
             need_ct(),
-            scale=_parse_scale(args.T),
+            scale=_parse_scale(args.T, pub.n),
             u_true=ka.get("u"),
             v_true=ka.get("v"),
         )
@@ -199,9 +198,9 @@ def _rabin_int_to_payload(m):
 
 
 def _cmd_rabin_keygen(args):
-    kp = rabin.keygen(args.n, _rng(args.seed))
-    _write_text(args.out_pub, f"n = {args.n}\nN = {kp.N}\n")
-    _write_text(args.out_priv, f"n = {args.n}\np = {kp.p}\nq = {kp.q}\n")
+    kp = rabin.keygen(args.n, random.Random(args.seed))
+    _write_text(args.out_pub, f"n = {args.n:#x}\nN = {kp.N:#x}\n")
+    _write_text(args.out_priv, f"n = {args.n:#x}\np = {kp.p:#x}\nq = {kp.q:#x}\n")
     return 0
 
 
@@ -213,7 +212,7 @@ def _cmd_rabin_encrypt(args):
         _write_text(args.out, cipher.format_ciphertext(cipher.Ciphertext(c)))
     else:
         c, parity, jac = rabin.encrypt_extrabits(pub["N"], m)
-        _write_text(args.out, f"c = {c}\nparity = {parity}\njacobi = {jac}\n")
+        _write_text(args.out, f"c = {c:#x}\nparity = {parity:#x}\njacobi = {jac:#x}\n")
     return 0
 
 
@@ -234,7 +233,7 @@ def _cmd_rabin_decrypt(args):
 
 
 def _cmd_rabin_ambiguity(args):
-    stats = rabin.redundancy_experiment(args.n, args.l, args.trials, _rng(args.seed))
+    stats = rabin.redundancy_experiment(args.n, args.l, args.trials, random.Random(args.seed))
     print(f"trials = {stats.trials}")
     print(f"ambiguous = {stats.ambiguous}")
     print(f"rate = {stats.rate:.6f}")

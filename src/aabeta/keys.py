@@ -190,7 +190,7 @@ def parse_fields(text, expected):
 
 
 def format_public_key(pub):
-    return f"n = {pub.n}\neA1 = {pub.e_a1}\neA2 = {pub.e_a2}\n"
+    return f"n = {pub.n:#x}\neA1 = {pub.e_a1:#x}\neA2 = {pub.e_a2:#x}\n"
 
 
 def parse_public_key(text):
@@ -199,7 +199,7 @@ def parse_public_key(text):
 
 
 def format_private_key(priv, n):
-    return f"n = {n}\np = {priv.p}\nq = {priv.q}\nd = {priv.d}\n"
+    return f"n = {n:#x}\np = {priv.p:#x}\nq = {priv.q:#x}\nd = {priv.d:#x}\n"
 
 
 def parse_private_key(text):

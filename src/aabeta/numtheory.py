@@ -1,14 +1,14 @@
 """Arbitrary-precision number-theory kernel.
 
-Exact integer arithmetic only: Miller-Rabin primality, prime
-generation in the 3 (mod 4) residue class, square roots modulo primes
-p = 3 (mod 4), the four CRT square roots modulo p*q and Jacobi
-symbols. Modular powers, inverses and integer square roots are the
-builtins pow(a, e, m), pow(a, -1, m) and math.isqrt.
+Exact integer arithmetic only: Baillie-PSW primality (trial division,
+a strong base-2 test and a strong Lucas test), prime generation in the
+3 (mod 4) residue class, square roots modulo primes p = 3 (mod 4), the
+four CRT square roots modulo p*q and Jacobi symbols. Modular powers,
+inverses and integer square roots are the builtins pow(a, e, m),
+pow(a, -1, m) and math.isqrt.
 """
 
 import math
-import random
 
 from .errors import GenerationFailure, NonResidueError
 
@@ -32,12 +32,6 @@ def _sieve(bound):
 
 _SMALL_PRIMES = _sieve(1 << 11)
 
-# Proven-deterministic Miller-Rabin witness set for n < 3.317e24 (covers 2^64).
-_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Random-witness Miller-Rabin rounds above 2^64.
-_MR_ROUNDS = 64
-
 # gen_prime_3mod4 gives up after this many candidates per bit of size.
 _TRIES_PER_BIT = 100
 
@@ -60,35 +54,52 @@ def jacobi(a, n):
     return result if n == 1 else 0
 
 
-def _miller_rabin(n, bases):
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in bases:
-        a %= n
-        if a in (0, 1, n - 1):
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+def _strong_base2(n):
+    """Strong probable-prime test to base 2 for odd n > 2."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    x = pow(2, (n - 1) >> s, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+def _strong_lucas(n):
+    """Strong Lucas test with Selfridge's D in 5, -7, 9, ..., P = 1, Q = (1 - D)/4.
+
+    n passes when U_d or some V_(d*2^r), r < s, is 0 mod n, where n + 1 = d*2^s.
+    For odd n with no prime factor below 2^11; a square or (D|n) = 0 is composite.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if j == 0:
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    u, v, qk = 1, 1, Q % n  # U_k, V_k, Q^k for k = 1, then k runs over the bits of (n+1) >> s
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return u == 0
 
 
 def is_probable_prime(n):
-    """Miller-Rabin primality test.
+    """Baillie-PSW: trial division below 2^11, then strong base-2 and strong Lucas tests.
 
-    Deterministic (and correct) for n below the proven witness-set
-    bound; above that the error probability is at most 4**-64.
-    The witness choice is a pure function of n, so repeated calls
-    agree.
+    Deterministic (Baillie & Wagstaff 1980); exact below 2^64, and no
+    composite is known to pass it.
     """
     if n < 2:
         return False
@@ -97,10 +108,7 @@ def is_probable_prime(n):
             return True
         if n % p == 0:
             return n == p
-    if n < 1 << 64:
-        return _miller_rabin(n, _WITNESSES_64)
-    rnd = random.Random(n)
-    return _miller_rabin(n, [rnd.randrange(2, n - 1) for _ in range(_MR_ROUNDS)])
+    return _strong_base2(n) and _strong_lucas(n)
 
 
 def gen_prime_3mod4(n, rng):

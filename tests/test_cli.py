@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,18 @@ def test_attack_lattice_reference(reference_keys, tmp_path):
     assert report["diag.zero_scale_rows"] == "2"
 
 
+@pytest.mark.parametrize("scale", ["2^99999999", "2^513", hex((1 << 512) + 1)],
+                         ids=["2^99999999", "2^513", "int-above-cap"])
+def test_attack_lattice_scale_above_cap_exits_2(reference_keys, tmp_path, scale):
+    pub, _ = reference_keys
+    ct = tmp_path / "ct.txt"
+    ct.write_text(f"{vectors.C16}\n")
+    t0 = time.perf_counter()
+    assert run("attack", "--kind", "lattice", "--pub", str(pub), "--ct", str(ct),
+               "--T", scale) == 2  # cap is 2^(32n) = 2^512 at n = 16
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_attack_congruence_auto_report_to_stdout(keys16, tmp_path, capsys):
     pub, priv = keys16
     payload = tmp_path / "p.bin"
@@ -253,6 +266,8 @@ def test_rabin_round_trip_both_schemes(tmp_path):
         assert run("rabin", "decrypt", "--priv", str(priv), "--in", str(ct),
                    "--out", str(out), "--scheme", scheme) == 0
         assert out.read_bytes() == b"\x00ab"
+    for path in (pub, priv, tmp_path / "ct-extrabits"):
+        assert all(" = 0x" in line for line in path.read_text().splitlines())
 
 
 def test_rabin_ambiguity_experiment(capsys):
@@ -345,7 +360,7 @@ def rabin_decrypt(priv, ct, out):
 def test_rabin_private_key_rejects_underscored_value(rabin_files, tmp_path):
     priv, ct = rabin_files
     lines = priv.read_text().splitlines()
-    p = int(lines[1].partition("=")[2])
+    p = int(lines[1].partition("=")[2], 16)
     priv.write_text("\n".join([lines[0], f"p = {p:_}", lines[2]]) + "\n")
     assert rabin_decrypt(priv, ct, tmp_path / "o") == 2
 
@@ -392,10 +407,12 @@ def test_numeric_options_use_the_integer_grammar(argv, reference_keys, tmp_path)
 
 def test_key_files_accept_hex_values(keys16, tmp_path):
     pub, priv = keys16
-    hex_pub, hex_priv = tmp_path / "hex-pub.txt", tmp_path / "hex-priv.txt"
-    for src, dst in ((pub, hex_pub), (priv, hex_priv)):
-        lines = (line.partition(" = ") for line in src.read_text().splitlines())
-        dst.write_text("".join(f"{name} = {int(value):#x}\n" for name, _, value in lines))
-    assert parse_public_key(hex_pub.read_text()) == parse_public_key(pub.read_text())
-    assert parse_private_key(hex_priv.read_text()) == parse_private_key(priv.read_text())
-    assert run("validate", "--pub", str(hex_pub), "--priv", str(hex_priv)) == 0
+    dec_pub, dec_priv = tmp_path / "dec-pub.txt", tmp_path / "dec-priv.txt"
+    for src, dst in ((pub, dec_pub), (priv, dec_priv)):
+        lines = [line.partition(" = ") for line in src.read_text().splitlines()]
+        assert all(value.startswith("0x") for _, _, value in lines)  # keygen writes hex
+        dst.write_text("".join(f"{name} = {int(value, 16)}\n" for name, _, value in lines))
+    assert parse_public_key(dec_pub.read_text()) == parse_public_key(pub.read_text())
+    assert parse_private_key(dec_priv.read_text()) == parse_private_key(priv.read_text())
+    assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 0
+    assert run("validate", "--pub", str(dec_pub), "--priv", str(dec_priv)) == 0

@@ -97,6 +97,13 @@ def test_key_file_round_trip():
     assert priv == kp.private and n == 16
 
 
+def test_key_file_round_trip_beyond_decimal_digit_limit():
+    pub = PublicKey(5000, (1 << 15002) - 3, (1 << 15020) - 1)  # e_a2 ~ 4520 digits
+    text = format_public_key(pub)
+    assert all(line.split(" = ")[1].startswith("0x") for line in text.splitlines())
+    assert parse_public_key(text) == pub
+
+
 def test_key_file_reference_values():
     text = format_private_key(PrivateKey(vectors.P16, vectors.Q16, vectors.D16), 16)
     priv, n = parse_private_key(text)
@@ -115,7 +122,7 @@ def test_key_file_rejects_unknown_and_malformed_fields():
         parse_public_key(good + "n = 16\n")  # duplicate
     for value in ("١٦", "1_6", "+16"):  # ASCII decimal digits only
         with pytest.raises(ValueError):
-            parse_public_key(good.replace("n = 16", f"n = {value}"))
+            parse_public_key(good.replace("n = 0x10", f"n = {value}"))
 
 
 def test_private_key_pq_property():

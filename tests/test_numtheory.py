@@ -5,6 +5,8 @@ import pytest
 
 from aabeta.errors import GenerationFailure, NonResidueError
 from aabeta.numtheory import (
+    _strong_base2,
+    _strong_lucas,
     four_roots,
     gen_prime_3mod4,
     is_probable_prime,
@@ -68,6 +70,32 @@ def test_is_probable_prime_beyond_small_prime_bound():
     assert not is_probable_prime(2053 * 2063)  # no factor below the trial bound
     assert is_probable_prime((1 << 89) - 1)  # Mersenne prime above 2^64
     assert not is_probable_prime(((1 << 61) - 1) * ((1 << 31) - 1))
+
+
+@pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051])
+def test_strong_base2_pseudoprimes_fail_lucas(n):
+    assert _strong_base2(n)
+    assert not _strong_lucas(n)
+    assert not is_probable_prime(n)
+
+
+# 5450201 = 2089 * 2609 has no factor below the trial-division bound
+@pytest.mark.parametrize("n", [5459, 5777, 10877, 5450201])
+def test_strong_lucas_pseudoprimes_fail_base2(n):
+    assert _strong_lucas(n)
+    assert not _strong_base2(n)
+    assert not is_probable_prime(n)
+
+
+def test_prime_squares_beyond_trial_division_rejected():
+    assert not is_probable_prime(2053 * 2053)
+    # 3511 is a Wieferich prime, so 3511^2 passes base 2 and the Lucas
+    # half must reject it
+    assert _strong_base2(3511 * 3511)
+    assert not is_probable_prime(3511 * 3511)
+    # every D has (D|p^2) = 1 for a prime p above all tried D, so without
+    # the square check the search for D would not end
+    assert not _strong_lucas(((1 << 61) - 1) ** 2)
 
 
 def test_gen_prime_3mod4_smallest_size():
