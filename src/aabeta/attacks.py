@@ -2,8 +2,8 @@
 
 Implements the known attack avenues as falsification harnesses:
 
-* congruence scan -- treat C as a linear Diophantine equation and walk
-  the parametric solutions U = a + e_a2*j, V^2 = b - e_a1*j;
+* congruence scan -- walk the parametric solutions U = a + e_a2*j,
+  V^2 = b - e_a1*j of C, filtering candidates by square residues;
 * small-root feasibility -- evaluate the modular-polynomial bound
   conditions against the key's guaranteed ranges in exact integers;
 * floor-division probe -- check whether plain Euclidean division of C
@@ -85,12 +85,39 @@ def congruence_params(pub, ct):
     return CongruenceParams(a, b, 1 << (n - 6), 3 << (n - 7))
 
 
+# A square is a square modulo each (Cohen, Alg. 1.7.3); 0.03% of non-squares pass all.
+_SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31)
+_SQUARES = {m: frozenset(x * x % m for x in range(m)) for m in _SQUARE_MODULI}
+_BLOCK = 1 << 14  # candidates per filter mask, one bit each
+
+
+def _square_candidates(s0, step, count):
+    """Yield in increasing order each t < count with s0 - step*t a square modulo every _SQUARE_MODULI."""
+    for start in range(0, count, _BLOCK):
+        size = min(_BLOCK, count - start)
+        s = s0 - step * start
+        mask = (1 << size) - 1
+        for m, squares in _SQUARES.items():
+            pattern = sum(1 << t for t in range(m) if (s - step * t) % m in squares)
+            width = m
+            while width < size:
+                pattern |= pattern << width
+                width *= 2
+            mask &= pattern
+        while mask:
+            yield start + (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+
+
 def congruence_bruteforce(pub, ct, j_budget):
     """Scan the V-window of the parametric family for a perfect square.
 
     Walks j over the interval where b - e_a1*j can be V^2 for V inside
     its honest range, up to j_budget candidates. Recovers (U, V) -- and
     hence the message pair -- iff the scan reaches the right j.
+
+    A square-residue filter that every square passes guards isqrt; the
+    report, "scanned" (candidates covered) too, is a linear scan's.
     """
     t0 = time.perf_counter()
     par = congruence_params(pub, ct)
@@ -102,19 +129,17 @@ def congruence_bruteforce(pub, ct, j_budget):
     j_hi = (par.b - s_min) // e_a1
     window = max(0, j_hi - j_lo + 1)
     found = None
-    scanned = 0
-    s = par.b - e_a1 * j_lo
-    j = j_lo
-    while j <= j_hi and scanned < j_budget:
-        scanned += 1
+    scanned = min(window, j_budget)
+    s0 = par.b - e_a1 * j_lo
+    for t in _square_candidates(s0, e_a1, scanned):
+        s = s0 - e_a1 * t
         r = math.isqrt(s)
         if r * r == s and v_lo <= r <= v_hi:
-            u = par.a + e_a2 * j
+            u = par.a + e_a2 * (j_lo + t)
             if u * e_a1 + s * e_a2 == c:
                 found = {"u": u, "v": r, "m1": u >> n, "m2": r >> n}
+                scanned = t + 1
                 break
-        s -= e_a1
-        j += 1
     elapsed = (time.perf_counter() - t0) * 1000.0
     diagnostics = {
         "window_u": par.window_u,

@@ -19,6 +19,7 @@ from .errors import (
 )
 from .keys import (
     KeyPair,
+    check_public_key,
     format_private_key,
     format_public_key,
     generate_keypair,
@@ -57,6 +58,7 @@ def _cmd_keygen(args):
 
 def _cmd_encrypt(args):
     pub = parse_public_key(_read_text(args.pub))
+    check_public_key(pub)
     fixed = (args.k1, args.k2, args.raw_m1, args.raw_m2)
     if any(v is not None for v in fixed) and not args.insecure_fixed_ephemerals:
         raise ValueError(
@@ -116,6 +118,7 @@ def _parse_scale(text, n):
 
 def _cmd_attack(args):
     pub = parse_public_key(_read_text(args.pub))
+    check_public_key(pub)
 
     def need_ct():
         if args.ct is None:

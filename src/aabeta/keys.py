@@ -10,7 +10,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import GenerationFailure
+from .errors import GenerationFailure, InconsistentKey
 from .numtheory import gen_prime_3mod4, is_probable_prime
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "ValidationReport",
     "generate_keypair",
     "validate_keypair",
+    "check_public_key",
     "parse_uint",
     "parse_fields",
     "format_public_key",
@@ -143,6 +144,16 @@ def validate_keypair(kp, strict=True):
         if math.gcd(d, pq) != 1:
             bad.append("d-coprime: gcd(d, p*q) != 1")
     return ValidationReport(strict=strict, violations=bad)
+
+
+def check_public_key(pub):
+    """Raise InconsistentKey unless n >= 8 and e_a1, e_a2 have 3n bits or more.
+
+    This bounds n, and with it the work of every command that uses only
+    the public key, by the size of the key file.
+    """
+    if pub.n < 8 or min(pub.e_a1, pub.e_a2).bit_length() < 3 * pub.n:
+        raise InconsistentKey("public key too small for its n: e_a1 and e_a2 need 3n bits")
 
 
 _PUBLIC_FIELDS = ("n", "eA1", "eA2")

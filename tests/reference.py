@@ -3,8 +3,11 @@
 `determinant` is the independent check on lattice bases (LLL keeps the
 absolute determinant); `rational_lll` is the textbook LLL over exact
 `Fraction` Gram-Schmidt data, the oracle that the integral
-`attacks.lll_reduce` must match bit for bit; `parse_report_text` reads
-the `key: value` report that `attacks.report_to_text` writes;
+`attacks.lll_reduce` must match bit for bit; `linear_congruence_scan`
+takes `math.isqrt` of every candidate, the oracle whose report the
+residue-filtered `attacks.congruence_bruteforce` must match;
+`parse_report_text` reads the `key: value` report that
+`attacks.report_to_text` writes;
 `ciphertext_range` restates the [C_lo, C_hi] bounds that `decrypt`
 checks before any modexp; `unmasked_roots` recomputes its unmasked
 value and four roots from the public primitives, and `accepted_roots`
@@ -12,8 +15,15 @@ restates its window and divisibility filter over those roots.
 """
 
 import math
+import time
 from fractions import Fraction
 
+from aabeta.attacks import (
+    VERDICT_NOT_RECOVERED,
+    VERDICT_RECOVERED,
+    AttackReport,
+    congruence_params,
+)
 from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
 
@@ -96,6 +106,54 @@ def rational_lll(basis):
             mu, norms = _gso(b)
             k = max(k - 1, 1)
     return [row[:] for row in b]
+
+
+def linear_congruence_scan(pub, ct, j_budget):
+    """Scan the V-window of the parametric family for a perfect square.
+
+    Walks j over the interval where b - e_a1*j can be V^2 for V inside
+    its honest range, up to j_budget candidates. Recovers (U, V) -- and
+    hence the message pair -- iff the scan reaches the right j.
+    """
+    t0 = time.perf_counter()
+    par = congruence_params(pub, ct)
+    n, e_a1, e_a2, c = pub.n, pub.e_a1, pub.e_a2, ct.c
+    v_lo = (1 << (2 * n - 2)) + 1
+    v_hi = (1 << (2 * n - 1)) - 1
+    s_min, s_max = v_lo * v_lo, v_hi * v_hi
+    j_lo = -((s_max - par.b) // e_a1)  # ceil((b - s_max) / e_a1)
+    j_hi = (par.b - s_min) // e_a1
+    window = max(0, j_hi - j_lo + 1)
+    found = None
+    scanned = 0
+    s = par.b - e_a1 * j_lo
+    j = j_lo
+    while j <= j_hi and scanned < j_budget:
+        scanned += 1
+        r = math.isqrt(s)
+        if r * r == s and v_lo <= r <= v_hi:
+            u = par.a + e_a2 * j
+            if u * e_a1 + s * e_a2 == c:
+                found = {"u": u, "v": r, "m1": u >> n, "m2": r >> n}
+                break
+        s -= e_a1
+        j += 1
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    diagnostics = {
+        "window_u": par.window_u,
+        "window_v": par.window_v,
+        "j_window": window,
+        "scanned": scanned,
+        "budget_exhausted": window > j_budget and found is None,
+    }
+    return AttackReport(
+        attack="congruence",
+        verdict=VERDICT_RECOVERED if found else VERDICT_NOT_RECOVERED,
+        params={"n": n, "budget": j_budget},
+        diagnostics=diagnostics,
+        recovered=found,
+        elapsed_ms=elapsed,
+    )
 
 
 def parse_report_text(text):

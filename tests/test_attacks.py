@@ -31,7 +31,7 @@ from aabeta.keys import PublicKey, generate_keypair
 from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
 import vectors
-from reference import determinant, parse_report_text, rational_lll
+from reference import determinant, linear_congruence_scan, parse_report_text, rational_lll
 
 
 def _random_instance(n, seed):
@@ -119,6 +119,46 @@ def test_congruence_bruteforce_budget_too_small_at_n64():
     assert report.diagnostics["budget_exhausted"]
     assert report.diagnostics["j_window"] > 1_000_000
     assert report.diagnostics["scanned"] == 1_000_000
+
+
+# budgets and counts on either side of the 2^14-candidate filter block
+_BLOCK_EDGES = st.sampled_from((0, 1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1))
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=8, max_value=24),
+    seed=st.integers(min_value=0, max_value=10**6),
+    budget=_BLOCK_EDGES | st.integers(min_value=0, max_value=1 << 15),
+)
+@example(n=20, seed=4, budget=17_273)  # the true j is candidate 17,272, in block 2
+def test_congruence_scan_matches_linear_oracle(n, seed, budget):
+    kp, trace = _random_instance(n, seed)
+    fast = congruence_bruteforce(kp.public, trace.ciphertext, budget)
+    slow = linear_congruence_scan(kp.public, trace.ciphertext, budget)
+    assert fast.verdict == slow.verdict
+    assert fast.recovered == slow.recovered
+    assert fast.params == slow.params
+    assert fast.diagnostics == slow.diagnostics
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    s0=st.integers(min_value=0, max_value=1 << 64),
+    step=st.integers(min_value=1, max_value=1 << 64),
+    count=_BLOCK_EDGES | st.integers(min_value=0, max_value=1 << 15),
+)
+@example(s0=0, step=1, count=(1 << 15) + 1)  # two full blocks and one candidate more
+def test_square_filter_keeps_exactly_the_square_residues(s0, step, count):
+    # the filter must pass every t whose s0 - step*t is a square modulo each
+    # modulus (else a hit is lost) and no other t (else isqrt is wasted)
+    squares = {m: {pow(x, 2, m) for x in range(m)} for m in attacks._SQUARE_MODULI}
+    residues = [(m, s0 % m, step % m, squares[m]) for m in squares]
+    expected = [
+        t for t in range(count)
+        if all((s_m - step_m * t) % m in sq for m, s_m, step_m, sq in residues)
+    ]
+    assert list(attacks._square_candidates(s0, step, count)) == expected
 
 
 # --- coppersmith feasibility ---

@@ -201,6 +201,36 @@ def test_attack_lattice_scale_above_cap_exits_2(reference_keys, tmp_path, scale)
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize(
+    "n, command",
+    [
+        (100_000_000, ["encrypt"]),
+        (100_000_000, ["attack", "--kind", "congruence"]),
+        (100_000_000, ["attack", "--kind", "coppersmith"]),
+        (100_000_000, ["attack", "--kind", "lattice", "--T", "2^99999999"]),
+        (16, ["attack", "--kind", "coppersmith"]),
+    ],
+    ids=["encrypt", "congruence", "coppersmith", "lattice-T", "coppersmith-n16"],
+)
+def test_undersized_public_key_exits_4(tmp_path, n, command):
+    # e_a1 = 5 and e_a2 = 7 have far fewer than 3n bits. Unchecked, the n = 10^8
+    # key ran encrypt and the congruence scan past 10 s and reached CPython's
+    # digit limit, and the n = 16 key got a coppersmith security verdict.
+    pub = tmp_path / "pub.txt"
+    pub.write_text(f"n = {n}\neA1 = 5\neA2 = 7\n")
+    ct = tmp_path / "ct.txt"
+    ct.write_text("0x100\n")
+    payload = tmp_path / "m.bin"
+    payload.write_bytes(b"hi")
+    if command[0] == "encrypt":
+        files = ["--in", str(payload), "--out", str(tmp_path / "out.txt")]
+    else:
+        files = ["--ct", str(ct)]
+    t0 = time.perf_counter()
+    assert run(*command, "--pub", str(pub), *files) == 4
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_attack_congruence_auto_report_to_stdout(keys16, tmp_path, capsys):
     pub, priv = keys16
     payload = tmp_path / "p.bin"

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from aabeta.errors import InconsistentKey
 from aabeta.keys import (
     KeyPair,
     PrivateKey,
     PublicKey,
+    check_public_key,
     format_private_key,
     format_public_key,
     generate_keypair,
@@ -88,6 +90,21 @@ def test_validation_flags_inconsistent_pair():
     report = validate_keypair(broken, strict=False)
     assert not report.valid
     assert any("e1-consistency" in v for v in report.violations)
+
+
+def test_check_public_key_needs_n_at_least_8_and_3n_bit_coefficients():
+    check_public_key(vectors.public_key())  # e_a1 has exactly 3n = 48 bits
+    for n in (8, 16, 64):
+        check_public_key(generate_keypair(n, random.Random(n)).public)
+    check_public_key(PublicKey(16, 1 << 47, 1 << 51))  # 48 and 52 bits
+    for bad in (
+        PublicKey(7, 1 << 40, 1 << 40),
+        PublicKey(16, (1 << 47) - 1, 1 << 51),
+        PublicKey(16, 1 << 47, (1 << 47) - 1),
+        PublicKey(100_000_000, 5, 7),
+    ):
+        with pytest.raises(InconsistentKey):
+            check_public_key(bad)
 
 
 def test_key_file_round_trip():
