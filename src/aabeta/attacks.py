@@ -15,11 +15,10 @@ Implements the known attack avenues as falsification harnesses:
   four square roots, demonstrating the equivalence with factoring.
 
 Every attack returns an AttackReport rather than raising on failure:
-the verdict is data.
+the verdict is data, and the same inputs give an equal report.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from .errors import FactoringFailure, InconsistentKey
@@ -40,7 +39,6 @@ __all__ = [
     "lll_reduce",
     "lattice_attack",
     "factor_from_roots",
-    "report_to_text",
 ]
 
 VERDICT_RECOVERED = "recovered"
@@ -69,7 +67,6 @@ class AttackReport:
     params: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     recovered: dict = None
-    elapsed_ms: float = 0.0
 
 
 def congruence_params(pub, ct):
@@ -119,7 +116,6 @@ def congruence_bruteforce(pub, ct, j_budget):
     A square-residue filter that every square passes guards isqrt; the
     report, "scanned" (candidates covered) too, is a linear scan's.
     """
-    t0 = time.perf_counter()
     par = congruence_params(pub, ct)
     n, e_a1, e_a2, c = pub.n, pub.e_a1, pub.e_a2, ct.c
     v_lo = (1 << (2 * n - 2)) + 1
@@ -140,7 +136,6 @@ def congruence_bruteforce(pub, ct, j_budget):
                 found = {"u": u, "v": r, "m1": u >> n, "m2": r >> n}
                 scanned = t + 1
                 break
-    elapsed = (time.perf_counter() - t0) * 1000.0
     diagnostics = {
         "window_u": par.window_u,
         "window_v": par.window_v,
@@ -154,7 +149,6 @@ def congruence_bruteforce(pub, ct, j_budget):
         params={"n": n, "budget": j_budget},
         diagnostics=diagnostics,
         recovered=found,
-        elapsed_ms=elapsed,
     )
 
 
@@ -168,7 +162,6 @@ def coppersmith_feasibility(pub, d=None):
     audit a concrete key; without it the d check reflects the
     generator's floor, which sits exactly on the bound.
     """
-    t0 = time.perf_counter()
     n, e_a1 = pub.n, pub.e_a1
     v_min = 1 << (2 * n - 2)
     v_feasible = v_min * v_min < e_a1
@@ -179,7 +172,6 @@ def coppersmith_feasibility(pub, d=None):
     verdict = (
         VERDICT_NOT_RECOVERED if (v_feasible or d_feasible) else VERDICT_INFEASIBLE
     )
-    elapsed = (time.perf_counter() - t0) * 1000.0
     return AttackReport(
         attack="coppersmith",
         verdict=verdict,
@@ -190,7 +182,6 @@ def coppersmith_feasibility(pub, d=None):
             "v_min": v_min,
             "sqrt_e_a1": math.isqrt(e_a1),
         },
-        elapsed_ms=elapsed,
     )
 
 
@@ -200,19 +191,16 @@ def euclid_division_check(pub, ct, u_true, v_true):
     A known-answer harness: the caller supplies the true (U, V) and the
     check compares them against floor(C/e_a1) and floor(C/e_a2).
     """
-    t0 = time.perf_counter()
     q1 = ct.c // pub.e_a1
     q2 = ct.c // pub.e_a2
     hit_u = q1 == u_true
     hit_v = q2 == v_true * v_true
-    elapsed = (time.perf_counter() - t0) * 1000.0
     return AttackReport(
         attack="euclid",
         verdict=VERDICT_RECOVERED if (hit_u or hit_v) else VERDICT_NOT_RECOVERED,
         params={"n": pub.n},
         diagnostics={"floor_hits_u": hit_u, "floor_hits_v_squared": hit_v},
         recovered={"u": q1} if hit_u else ({"v_squared": q2} if hit_v else None),
-        elapsed_ms=elapsed,
     )
 
 
@@ -325,7 +313,6 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     V and which reproduces C. Supplying the true (U, V) adds
     known-answer diagnostics (target norm, lattice membership).
     """
-    t0 = time.perf_counter()
     n = pub.n
     scale_int = choose_scale(pub, ct) if scale == "auto" else int(scale)
     basis = build_lattice(pub, ct, scale_int)
@@ -375,14 +362,12 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
             sum(target[i] * basis[i][j] for i in range(3)) for j in range(3)
         ]
         diagnostics["solution_in_lattice"] = image == [u_true, v_true * v_true, 0]
-    elapsed = (time.perf_counter() - t0) * 1000.0
     return AttackReport(
         attack="lattice",
         verdict=VERDICT_RECOVERED if found else VERDICT_NOT_RECOVERED,
         params={"n": n, "scale_log2": scale_int.bit_length() - 1},
         diagnostics=diagnostics,
         recovered=found,
-        elapsed_ms=elapsed,
     )
 
 
@@ -428,20 +413,3 @@ def _resolve_square_factor(e_a1, g):
         if rem == 0 and rest > 1 and rest != p:
             return p, rest
     return None
-
-
-def report_to_text(report):
-    """Line-oriented `key: value` serialization of a report."""
-    lines = [
-        f"attack: {report.attack}",
-        f"verdict: {report.verdict}",
-        f"elapsed_ms: {report.elapsed_ms:.3f}",
-    ]
-    for section, data in (
-        ("param", report.params),
-        ("diag", report.diagnostics),
-        ("recovered", report.recovered or {}),
-    ):
-        for key in sorted(data):
-            lines.append(f"{section}.{key}: {data[key]}")
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import random
 import statistics
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 
 from . import cipher, codec, rabin
@@ -102,21 +102,9 @@ def emit_csv(rows):
     """CSV text, one line per row, ordered by (scheme, n)."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(
-        ["scheme", "n", "keygen_ms", "encrypt_ms", "decrypt_ms", "reps", "payload_bytes"]
-    )
+    writer.writerow(f.name for f in fields(BenchRow))
     for row in sorted(rows, key=lambda r: (r.scheme, r.n)):
-        writer.writerow(
-            [
-                row.scheme,
-                row.n,
-                f"{row.keygen_ms:.6f}",
-                f"{row.encrypt_ms:.6f}",
-                f"{row.decrypt_ms:.6f}",
-                row.reps,
-                row.payload_bytes,
-            ]
-        )
+        writer.writerow(f"{v:.6f}" if type(v) is float else v for v in astuple(row))
     return out.getvalue()
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 generation failure,
 import argparse
 import random
 import sys
+import time
 from pathlib import Path
 
 from . import attacks, bench, cipher, codec, rabin
@@ -76,9 +77,9 @@ def _cmd_encrypt(args):
         if args.k1 is None or args.k2 is None:
             raise ValueError("--k1 and --k2 must be given together")
         eph = cipher.EphemeralPair(args.k1, args.k2)
-        ct = cipher.encrypt_trace(pub, msg, eph).ciphertext
     else:
-        ct = cipher.encrypt(pub, msg, random.Random(args.seed))
+        eph = cipher.sample_ephemerals(pub.n, random.Random(args.seed))
+    ct = cipher.encrypt_trace(pub, msg, eph).ciphertext
     _write_text(args.out, cipher.format_ciphertext(ct))
     return 0
 
@@ -116,6 +117,24 @@ def _parse_scale(text, n):
     return scale
 
 
+def report_to_text(report, elapsed_ms):
+    """Line-oriented `key: value` serialization of a report; ints are written in 0x hex."""
+    lines = [
+        f"attack: {report.attack}",
+        f"verdict: {report.verdict}",
+        f"elapsed_ms: {elapsed_ms:.3f}",
+    ]
+    for section, data in (
+        ("param", report.params),
+        ("diag", report.diagnostics),
+        ("recovered", report.recovered or {}),
+    ):
+        for key in sorted(data):
+            value = data[key]
+            lines.append(f"{section}.{key}: {hex(value) if type(value) is int else value}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_attack(args):
     pub = parse_public_key(_read_text(args.pub))
     check_public_key(pub)
@@ -125,6 +144,7 @@ def _cmd_attack(args):
             raise ValueError(f"--ct is required for --kind {args.kind}")
         return cipher.parse_ciphertext(_read_text(args.ct))
 
+    t0 = time.perf_counter()
     if args.kind == "congruence":
         report = attacks.congruence_bruteforce(pub, need_ct(), args.budget)
     elif args.kind == "coppersmith":
@@ -161,7 +181,7 @@ def _cmd_attack(args):
             params={"n": pub.n},
             recovered={"p": p, "q": q},
         )
-    text = attacks.report_to_text(report)
+    text = report_to_text(report, (time.perf_counter() - t0) * 1000.0)
     if args.report:
         _write_text(args.report, text)
     else:

@@ -112,7 +112,7 @@ def validate_keypair(kp, strict=True):
     bad = []
     if e_a1 != p * p * q:
         bad.append("e1-consistency: e_a1 != p^2*q")
-    if e_a2 * d % pq != 1:
+    if pq == 0 or e_a2 * d % pq != 1:
         bad.append("d-inverse: e_a2*d != 1 (mod p*q)")
     if math.gcd(e_a1, e_a2) != 1:
         bad.append("e1-e2-coprime: gcd(e_a1, e_a2) != 1")

@@ -7,7 +7,7 @@ absolute determinant); `rational_lll` is the textbook LLL over exact
 takes `math.isqrt` of every candidate, the oracle whose report the
 residue-filtered `attacks.congruence_bruteforce` must match;
 `parse_report_text` reads the `key: value` report that
-`attacks.report_to_text` writes;
+`aabeta.cli.report_to_text` writes;
 `ciphertext_range` restates the [C_lo, C_hi] bounds that `decrypt`
 checks before any modexp; `unmasked_roots` recomputes its unmasked
 value and four roots from the public primitives, and `accepted_roots`
@@ -15,7 +15,6 @@ restates its window and divisibility filter over those roots.
 """
 
 import math
-import time
 from fractions import Fraction
 
 from aabeta.attacks import (
@@ -115,7 +114,6 @@ def linear_congruence_scan(pub, ct, j_budget):
     its honest range, up to j_budget candidates. Recovers (U, V) -- and
     hence the message pair -- iff the scan reaches the right j.
     """
-    t0 = time.perf_counter()
     par = congruence_params(pub, ct)
     n, e_a1, e_a2, c = pub.n, pub.e_a1, pub.e_a2, ct.c
     v_lo = (1 << (2 * n - 2)) + 1
@@ -138,7 +136,6 @@ def linear_congruence_scan(pub, ct, j_budget):
                 break
         s -= e_a1
         j += 1
-    elapsed = (time.perf_counter() - t0) * 1000.0
     diagnostics = {
         "window_u": par.window_u,
         "window_v": par.window_v,
@@ -152,7 +149,6 @@ def linear_congruence_scan(pub, ct, j_budget):
         params={"n": n, "budget": j_budget},
         diagnostics=diagnostics,
         recovered=found,
-        elapsed_ms=elapsed,
     )
 
 

@@ -95,6 +95,7 @@ def test_emit_csv_empty_and_ordering():
     lines = emit_csv(rows).strip().splitlines()
     assert [l.split(",")[0] for l in lines[1:]] == ["aabeta", "aabeta", "rsa"]
     assert [l.split(",")[1] for l in lines[1:]] == ["16", "32", "16"]
+    assert lines[1] == "aabeta,16,1.000000,2.000000,3.000000,5,7"
 
 
 def test_public_key_size_ratio_structural():

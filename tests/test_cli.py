@@ -1,13 +1,17 @@
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import aabeta
-from aabeta.cli import main
+from aabeta.attacks import euclid_division_check
+from aabeta.cli import _ATTACK_KINDS, main, report_to_text
 from aabeta.keys import parse_private_key, parse_public_key
 
 import vectors
@@ -186,7 +190,7 @@ def test_attack_lattice_reference(reference_keys, tmp_path):
     assert report["verdict"] == "not-recovered"
     assert "diag.sigma" in report
     assert "diag.row_norms_log2" in report
-    assert report["diag.zero_scale_rows"] == "2"
+    assert report["diag.zero_scale_rows"] == "0x2"
 
 
 @pytest.mark.parametrize("scale", ["2^99999999", "2^513", hex((1 << 512) + 1)],
@@ -264,8 +268,54 @@ def test_attack_factor_from_roots_reference(reference_keys, tmp_path, capsys):
                "--roots", str(roots)) == 0
     report = parse_report_text(capsys.readouterr().out)
     assert report["verdict"] == "recovered"
-    assert report["recovered.p"] == str(vectors.P16)
-    assert report["recovered.q"] == str(vectors.Q16)
+    assert report["recovered.p"] == hex(vectors.P16)
+    assert report["recovered.q"] == hex(vectors.Q16)
+
+
+def test_report_text_round_trip():
+    report = euclid_division_check(
+        vectors.public_key(), vectors.ciphertext(), vectors.U16, vectors.V16
+    )
+    text = report_to_text(report, 1.5)
+    parsed = parse_report_text(text)
+    assert list(parsed)[:3] == ["attack", "verdict", "elapsed_ms"]
+    assert parsed["attack"] == "euclid"
+    assert parsed["verdict"] == "not-recovered"
+    assert parsed["elapsed_ms"] == "1.500"
+    assert parsed["param.n"] == "0x10"
+    assert parsed["diag.floor_hits_u"] == "False"
+    assert parse_report_text(report_to_text(report, 1.5)) == parsed
+
+
+def test_attack_coppersmith_writes_report_integers_in_hex(tmp_path, capsys):
+    # v_min = 2^14398 has 4,335 decimal digits, past CPython's str() limit of 4,300
+    pub = tmp_path / "pub.txt"
+    pub.write_text(f"n = 7200\neA1 = {(1 << 21600) + 1:#x}\neA2 = {(1 << 21605) + 1:#x}\n")
+    t0 = time.perf_counter()
+    assert run("attack", "--kind", "coppersmith", "--pub", str(pub)) == 0
+    assert time.perf_counter() - t0 < 1.0
+    report = parse_report_text(capsys.readouterr().out)
+    assert report["param.n"] == "0x1c20"
+    assert report["diag.v_min"] == hex(1 << 14398)
+    assert report["diag.v_attack_feasible"] == "False"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("validate",), ("validate", "--relaxed"), ("decrypt", "--in", "{ct}", "--out", "{out}")],
+    ids=["validate", "validate-relaxed", "decrypt"],
+)
+@pytest.mark.parametrize("zero", ["p", "q"])
+def test_zero_prime_key_exits_4(reference_keys, tmp_path, zero, command):
+    # p*q = 0, so the d-inverse check must not reduce e_a2*d modulo it
+    pub, priv = reference_keys
+    p, q = (0, vectors.Q16) if zero == "p" else (vectors.P16, 0)
+    priv.write_text(f"n = 16\np = {p}\nq = {q}\nd = {vectors.D16}\n")
+    ct = tmp_path / "ct.txt"
+    ct.write_text(f"{vectors.C16}\n")
+    paths = {"ct": str(ct), "out": str(tmp_path / "out")}
+    options = (arg.format(**paths) for arg in command[1:])
+    assert run(command[0], "--pub", str(pub), "--priv", str(priv), *options) == 4
 
 
 def test_attack_requires_ct_when_needed(reference_keys):
@@ -446,3 +496,51 @@ def test_key_files_accept_hex_values(keys16, tmp_path):
     assert parse_private_key(dec_priv.read_text()) == parse_private_key(priv.read_text())
     assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 0
     assert run("validate", "--pub", str(dec_pub), "--priv", str(dec_priv)) == 0
+
+
+# Small constants, 2^k + {-1, 0, 1} for k <= 60, and anything up to 2^64.
+_FUZZ_INTS = (
+    st.integers(min_value=0, max_value=16)
+    | st.builds(lambda k, d: max(0, (1 << k) + d), st.integers(0, 60), st.sampled_from((-1, 0, 1)))
+    | st.integers(min_value=0, max_value=1 << 64)
+)
+_FUZZ_COMMANDS = (
+    ("encrypt", "--in", "{payload}", "--out", "{out}", "--seed", "0"),
+    ("decrypt", "--priv", "{priv}", "--in", "{ct}", "--out", "{out}"),
+    ("validate", "--priv", "{priv}"),
+    ("validate", "--priv", "{priv}", "--relaxed"),
+    *(
+        ("attack", "--kind", kind, "--priv", "{priv}", "--ct", "{ct}", "--known-answer", "{ka}",
+         "--roots", "{roots}", "--budget", "64")
+        for kind in _ATTACK_KINDS
+    ),
+)
+
+
+@settings(deadline=None)
+@given(
+    command=st.sampled_from(_FUZZ_COMMANDS),
+    n=st.integers(min_value=0, max_value=20),
+    key=st.tuples(*[_FUZZ_INTS] * 5),
+    values=st.tuples(*[_FUZZ_INTS] * 7),
+)
+@example(  # the reference public key with p = 0
+    command=_FUZZ_COMMANDS[1],
+    n=16,
+    key=(vectors.E_A1_16, vectors.E_A2_16, 0, vectors.Q16, vectors.D16),
+    values=(vectors.C16, vectors.U16, vectors.V16, *vectors.ROOTS16),
+)
+def test_cli_input_files_end_in_a_documented_exit_code(command, n, key, values):
+    e_a1, e_a2, p, q, d = key
+    c, u, v, *roots = values
+    with tempfile.TemporaryDirectory() as tmp:
+        names = ("pub", "priv", "ct", "ka", "roots", "payload", "out")
+        paths = {name: Path(tmp, name) for name in names}
+        paths["pub"].write_text(f"n = {n}\neA1 = {e_a1}\neA2 = {e_a2}\n")
+        paths["priv"].write_text(f"n = {n}\np = {p}\nq = {q}\nd = {d}\n")
+        paths["ct"].write_text(f"{c}\n")
+        paths["ka"].write_text(f"u = {u}\nv = {v}\n")
+        paths["roots"].write_text("".join(f"v{i + 1} = {r}\n" for i, r in enumerate(roots)))
+        paths["payload"].write_bytes(b"hi")
+        options = (arg.format(**paths) for arg in command[1:])
+        assert run(command[0], "--pub", str(paths["pub"]), *options) in (0, 2, 4, 5)

@@ -92,6 +92,16 @@ def test_validation_flags_inconsistent_pair():
     assert any("e1-consistency" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "relaxed"])
+@pytest.mark.parametrize("zero", ["p", "q"])
+def test_validation_flags_zero_prime_without_dividing_by_zero(zero, strict):
+    p, q = (0, vectors.Q16) if zero == "p" else (vectors.P16, 0)
+    kp = KeyPair(vectors.public_key(), PrivateKey(p, q, vectors.D16))
+    names = [v.partition(":")[0] for v in validate_keypair(kp, strict=strict).violations]
+    assert "d-inverse" in names
+    assert f"{zero}-mod4" in names
+
+
 def test_check_public_key_needs_n_at_least_8_and_3n_bit_coefficients():
     check_public_key(vectors.public_key())  # e_a1 has exactly 3n = 48 bits
     for n in (8, 16, 64):
