@@ -229,8 +229,8 @@ def choose_scale(pub, ct):
     if ct.c < 1:
         raise ValueError("ciphertext must be positive")
     rhs = 9 << (12 * pub.n - 1)
-    k = 0
-    while ct.c << k <= rhs:
+    k = max(0, rhs.bit_length() - ct.c.bit_length())  # c << k-1 is shorter than rhs
+    if ct.c << k <= rhs:
         k += 1
     return 1 << k
 
@@ -244,11 +244,15 @@ def lll_reduce(basis):
     """Integral LLL with delta = 3/4 (de Weger 1987; Cohen, Alg. 2.6.7).
 
     d_0 = 1, d_i+1 = |b*_0|^2 ... |b*_i|^2 and lam_ij = d_j+1 * mu_ij stay
-    exact integers. Row k is size-reduced against j = k-1 down to 0 when
-    2|lam_kj| > d_j+1, by r = (2 lam_kj + d_j+1) // (2 d_j+1) = floor(mu_kj + 1/2).
-    Rows k-1 and k swap, updating d_k and lam in place, while the Lovasz
-    test 4 d_k+1 d_k-1 >= 3 d_k^2 - 4 lam_k,k-1^2 fails. The output spans
-    the same lattice with |mu_ij| <= 1/2. Meant for small dimensions.
+    exact integers. Row i's d_i+1 and lam_i* are computed from the current
+    rows when k first reaches i (k_max), so a swap updates lam only for
+    rows k+1..k_max; a dependent row raises ValueError there. Row k is
+    size-reduced against j = k-1 down to 0 when 2|lam_kj| > d_j+1, by
+    r = (2 lam_kj + d_j+1) // (2 d_j+1) = floor(mu_kj + 1/2). The d_k a
+    swap would give, new_dk = (d_k-1 d_k+1 + lam_k,k-1^2) / d_k, is an
+    exact quotient, and rows k-1 and k swap while the Lovasz test
+    4 new_dk >= 3 d_k fails. The output spans the same lattice with
+    |mu_ij| <= 1/2. Meant for small dimensions.
     """
     b = [[int(x) for x in row] for row in basis]
     dim = len(b)
@@ -256,19 +260,23 @@ def lll_reduce(basis):
         raise ValueError("rows must have equal length")
     d = [1] * (dim + 1)
     lam = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-            elif u == 0:
-                raise ValueError("basis rows are linearly dependent")
-            else:
-                d[i + 1] = u
-    k = 1
+    k, k_max = 0, -1
     while k < dim:
+        if k > k_max:
+            k_max = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for t in range(j):
+                    u = (d[t + 1] * u - lam[k][t] * lam[j][t]) // d[t]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("basis rows are linearly dependent")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
         for j in range(k - 1, -1, -1):
             if 2 * abs(lam[k][j]) > d[j + 1]:
                 r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
@@ -277,15 +285,15 @@ def lll_reduce(basis):
                     lam[k][jj] -= r * lam[j][jj]
                 lam[k][j] -= r * d[j + 1]
         lk = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * lk * lk:
+        new_dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        if 4 * new_dk >= 3 * d[k]:
             k += 1
             continue
         # columns < k-1 of rows k-1 and k trade places; lam_k,k-1 stays
         b[k - 1], b[k] = b[k], b[k - 1]
         lam[k - 1], lam[k] = lam[k], lam[k - 1]
         lam[k][k - 1] = lk
-        new_dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-        for i in range(k + 1, dim):
+        for i in range(k + 1, k_max + 1):
             t = lam[i][k]
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
             lam[i][k - 1] = (new_dk * t + lk * lam[i][k]) // d[k + 1]

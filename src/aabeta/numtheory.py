@@ -43,10 +43,10 @@ def jacobi(a, n):
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        t = (a & -a).bit_length() - 1
+        a >>= t
+        if t % 2 and n % 8 in (3, 5):
+            result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result

@@ -129,11 +129,16 @@ def encrypt_extrabits(n_modulus, m):
 
 
 def decrypt_extrabits(kp, c, parity_bit, jacobi_bit):
-    """The single root matching both transmitted bits."""
+    """The single root matching both transmitted bits.
+
+    decrypt_all's roots (+-x_p, +-x_q) have Jacobi symbols 1, -1, -1, 1 when
+    gcd(c, N) = 1 (x_p, x_q are residues, -1 is not: p, q = 3 mod 4), else 0.
+    """
+    jacobi_bits = (1, 0, 0, 1) if math.gcd(c, kp.N) == 1 else (0, 0, 0, 0)
     matches = [
         r
-        for r in dict.fromkeys(decrypt_all(kp, c))
-        if (r & 1) == parity_bit and (1 if jacobi(r, kp.N) == 1 else 0) == jacobi_bit
+        for r, jac in dict(zip(decrypt_all(kp, c), jacobi_bits)).items()
+        if (r & 1) == parity_bit and jac == jacobi_bit
     ]
     if len(matches) != 1:
         raise InvalidCiphertext(f"{len(matches)} roots match the extra bits")

@@ -7,7 +7,11 @@ absolute determinant); `rational_lll` is the textbook LLL over exact
 takes `math.isqrt` of every candidate, the oracle whose report the
 residue-filtered `attacks.congruence_bruteforce` must match;
 `parse_report_text` reads the `key: value` report that
-`aabeta.cli.report_to_text` writes;
+`aabeta.cli.report_to_text` writes; `linear_choose_scale` raises the
+scale one bit at a time, the oracle of the closed-form
+`attacks.choose_scale`; `jacobi_decrypt_extrabits` computes each root's
+Jacobi symbol, the oracle of `rabin.decrypt_extrabits`, which reads it
+from the root's position;
 `ciphertext_range` restates the [C_lo, C_hi] bounds that `decrypt`
 checks before any modexp; `unmasked_roots` recomputes its unmasked
 value and four roots from the public primitives, and `accepted_roots`
@@ -23,7 +27,9 @@ from aabeta.attacks import (
     AttackReport,
     congruence_params,
 )
-from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
+from aabeta.errors import InvalidCiphertext
+from aabeta.numtheory import four_roots, jacobi, sqrt_mod_p_3mod4
+from aabeta.rabin import decrypt_all
 
 
 def determinant(rows):
@@ -150,6 +156,29 @@ def linear_congruence_scan(pub, ct, j_budget):
         diagnostics=diagnostics,
         recovered=found,
     )
+
+
+def linear_choose_scale(pub, ct):
+    """2^k for the smallest k >= 0 with C * 2^k > 9 * 2^(12n-1), found bit by bit."""
+    if ct.c < 1:
+        raise ValueError("ciphertext must be positive")
+    rhs = 9 << (12 * pub.n - 1)
+    k = 0
+    while ct.c << k <= rhs:
+        k += 1
+    return 1 << k
+
+
+def jacobi_decrypt_extrabits(kp, c, parity_bit, jacobi_bit):
+    """The single root of c whose parity and (r|N) == 1 match the two bits."""
+    matches = [
+        r
+        for r in dict.fromkeys(decrypt_all(kp, c))
+        if (r & 1) == parity_bit and (1 if jacobi(r, kp.N) == 1 else 0) == jacobi_bit
+    ]
+    if len(matches) != 1:
+        raise InvalidCiphertext(f"{len(matches)} roots match the extra bits")
+    return matches[0]
 
 
 def parse_report_text(text):

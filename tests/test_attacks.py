@@ -30,7 +30,12 @@ from aabeta.keys import PublicKey, generate_keypair
 from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
 import vectors
-from reference import determinant, linear_congruence_scan, rational_lll
+from reference import (
+    determinant,
+    linear_choose_scale,
+    linear_congruence_scan,
+    rational_lll,
+)
 
 
 def _random_instance(n, seed):
@@ -265,6 +270,23 @@ def test_choose_scale_monotone_in_ciphertext():
         prev = scale
 
 
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    shift=st.integers(min_value=-8, max_value=12 * 300 + 8),
+    offset=st.integers(min_value=-2, max_value=2),
+)
+@example(n=16, shift=0, offset=0)  # C equal to the threshold: scale 2
+@example(n=16, shift=0, offset=1)
+@example(n=1, shift=-4, offset=-2)
+def test_choose_scale_matches_linear_oracle(n, shift, offset):
+    # C on both sides of 9 * 2^(12n-1) >> shift, where the k+1 step flips
+    rhs = 9 << (12 * n - 1)
+    c = max(1, (rhs >> shift if shift >= 0 else rhs << -shift) + offset)
+    pub, ct = PublicKey(n, 0, 0), Ciphertext(c)
+    assert choose_scale(pub, ct) == linear_choose_scale(pub, ct)
+
+
 def test_preset_scale():
     assert preset_scale(16) == 1 << 320
 
@@ -323,6 +345,29 @@ def test_lll_hand_checked_example():
 def test_lll_rejects_dependent_rows():
     with pytest.raises(ValueError):
         lll_reduce([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+
+
+def test_lll_empty_basis():
+    assert lll_reduce([]) == []
+
+
+def test_lll_single_row_unchanged():
+    assert lll_reduce([[0, -3, 7]]) == [[0, -3, 7]]
+
+
+def test_lll_rejects_single_zero_row():
+    with pytest.raises(ValueError):
+        lll_reduce([[0, 0]])
+
+
+def test_lll_rejects_dependent_row_after_swaps():
+    # rows 0-2 have determinant 1 and need five swaps before k reaches
+    # row 3, their sum, whose Gram-Schmidt data is only computed then
+    basis = [[5, 3, 4, 0], [3, 2, 2, 0], [1, 1, 1, 0], [9, 6, 7, 0]]
+    with pytest.raises(ValueError):
+        lll_reduce(basis)
+    with pytest.raises(ValueError):
+        rational_lll(basis)
 
 
 def test_lll_random_bases_postconditions():
@@ -417,6 +462,32 @@ def test_lll_matches_rational_oracle(basis):
 def test_lll_matches_rational_oracle_on_n128_attack_lattice():
     kp, trace = _random_instance(128, 1)
     basis = build_lattice(kp.public, trace.ciphertext, preset_scale(128))
+    assert lll_reduce(basis) == rational_lll(basis)
+
+
+@st.composite
+def scaled_embeddings(draw):
+    """build_lattice's shape in dimension 2-4: rows [e_i | s*a_i] and [0...0 | -s*c].
+
+    s = 2^k with k <= 300 makes the last column dwarf the unit part, so
+    the k=1 phase swaps many times before later rows are reached.
+    """
+    m = draw(st.integers(min_value=1, max_value=3))
+    s = 1 << draw(st.integers(min_value=0, max_value=300))
+    bits = draw(st.integers(min_value=1, max_value=200))
+    # full-length entries half the time: long continued fractions, many swaps
+    size = st.integers(min_value=0, max_value=(1 << bits) - 1) | st.integers(
+        min_value=1 << (bits - 1), max_value=(1 << bits) - 1
+    )
+    a = [draw(size) * draw(st.sampled_from((1, -1))) for _ in range(m)]
+    c = draw(size.filter(bool) | st.integers(min_value=1, max_value=1 << (bits + 100)))
+    rows = [[int(i == j) for j in range(m)] + [s * a[i]] for i in range(m)]
+    return rows + [[0] * m + [-s * c]]
+
+
+@settings(deadline=None)
+@given(scaled_embeddings())
+def test_lll_matches_rational_oracle_on_scaled_embeddings(basis):
     assert lll_reduce(basis) == rational_lll(basis)
 
 

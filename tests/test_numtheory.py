@@ -235,5 +235,16 @@ def test_jacobi_multiplicative_in_modulus():
         assert jacobi(a, m * n) == jacobi(a, m) * jacobi(a, n)
 
 
+def test_jacobi_strips_powers_of_two():
+    # (2^t a | n) = (2|n)^t (a|n), with (2|n) = -1 exactly when n = 3, 5 mod 8
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randrange(3, 1 << 64) | 1
+        a = rng.randrange(1, 1 << 64) | 1
+        t = rng.randrange(200)
+        two = -1 if n % 8 in (3, 5) else 1
+        assert jacobi(a << t, n) == two**t * jacobi(a, n)
+
+
 def test_reference_v_is_isqrt_of_v_squared():
     assert math.isqrt(vectors.V16_SQUARED) == vectors.V16

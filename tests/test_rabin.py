@@ -2,10 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aabeta import rabin
 from aabeta.errors import InvalidCiphertext
 from aabeta.numtheory import jacobi
+
+from reference import jacobi_decrypt_extrabits
 
 
 def test_keygen_smallest_size():
@@ -168,6 +172,41 @@ def test_extrabits_bits_identify_unique_root():
             pair = [r for r, j in zip(roots, jacs) if j == sign]
             assert (pair[0] + pair[1]) % kp.N == 0
             assert pair[0] % 2 != pair[1] % 2
+
+
+@st.composite
+def extrabits_inputs(draw):
+    """A key with 4-40 bit primes; c in [0, N) random, a square, 0 or a multiple of p or q."""
+    bits = draw(st.integers(min_value=4, max_value=40))
+    kp = rabin.keygen(bits, random.Random(draw(st.integers())))
+    m = draw(st.integers(min_value=0, max_value=kp.N - 1))
+    c = draw(st.sampled_from((
+        m,
+        m * m % kp.N,
+        0,
+        m % kp.q * kp.p,
+        m % kp.p * kp.q,
+        (m % kp.q * kp.p) ** 2 % kp.N,
+    )))
+    return kp, c
+
+
+def _outcome(decrypt, kp, c, parity_bit, jacobi_bit):
+    try:
+        return decrypt(kp, c, parity_bit, jacobi_bit)
+    except InvalidCiphertext as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(extrabits_inputs())
+def test_decrypt_extrabits_matches_jacobi_oracle(inputs):
+    # the Jacobi bit read from the root's CRT sign position must agree
+    # with jacobi(r, N) == 1 for every c, shared factors included
+    kp, c = inputs
+    for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):  # (parity, Jacobi)
+        expected = _outcome(jacobi_decrypt_extrabits, kp, c, *bits)
+        assert _outcome(rabin.decrypt_extrabits, kp, c, *bits) == expected
 
 
 def test_keypair_validation():
