@@ -21,6 +21,7 @@ the verdict is data, and the same inputs give an equal report.
 import math
 from dataclasses import dataclass, field
 
+from .codec import EncodedMessage
 from .errors import FactoringFailure, InconsistentKey
 
 __all__ = [
@@ -82,6 +83,15 @@ def congruence_params(pub, ct):
     return CongruenceParams(a, b, 1 << (n - 6), 3 << (n - 7))
 
 
+def _message_fields(u, v, n):
+    """Report fields of a solution (U, V), or None unless it carries a message pair."""
+    try:
+        msg = EncodedMessage(u >> n, v >> n, n)
+    except ValueError:
+        return None
+    return {"u": u, "v": v, "m1": msg.m1, "m2": msg.m2}
+
+
 # A square is a square modulo each (Cohen, Alg. 1.7.3); 0.03% of non-squares pass all.
 _SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31)
 _SQUARES = {m: frozenset(x * x % m for x in range(m)) for m in _SQUARE_MODULI}
@@ -113,8 +123,9 @@ def congruence_bruteforce(pub, ct, j_budget):
     its honest range, up to j_budget candidates. Recovers (U, V) -- and
     hence the message pair -- iff the scan reaches the right j.
 
-    A square-residue filter that every square passes guards isqrt; the
-    report, "scanned" (candidates covered) too, is a linear scan's.
+    A square-residue filter that every square passes guards isqrt. A
+    solution that carries no message pair is passed over. On honest
+    ciphertexts the report, "scanned" (candidates covered) too, is a linear scan's.
     """
     par = congruence_params(pub, ct)
     n, e_a1, e_a2, c = pub.n, pub.e_a1, pub.e_a2, ct.c
@@ -130,10 +141,9 @@ def congruence_bruteforce(pub, ct, j_budget):
     for t in _square_candidates(s0, e_a1, scanned):
         s = s0 - e_a1 * t
         r = math.isqrt(s)
-        if r * r == s and v_lo <= r <= v_hi:
+        if r * r == s:
             u = par.a + e_a2 * (j_lo + t)
-            if u * e_a1 + s * e_a2 == c:
-                found = {"u": u, "v": r, "m1": u >> n, "m2": r >> n}
+            if u * e_a1 + s * e_a2 == c and (found := _message_fields(u, r, n)):
                 scanned = t + 1
                 break
     diagnostics = {
@@ -317,8 +327,8 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     After reduction the rows with zero third coordinate span the
     sublattice containing the target; the search tries all integer
     combinations of those rows with coefficients up to +/-_COEFF_BOUND,
-    accepting a vector whose second entry is the square of an in-range
-    V and which reproduces C. Supplying the true (U, V) adds
+    accepting a vector (U, V^2) that reproduces C and whose
+    (U >> n, V >> n) is a message pair. Supplying the true (U, V) adds
     known-answer diagnostics (target norm, lattice membership).
     """
     n = pub.n
@@ -332,8 +342,6 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     sigma_log2 = 0.5 * math.log2(3 / (2 * math.pi * math.e)) + math.log2(det) / 3
     sigma = 2.0**sigma_log2 if sigma_log2 < 1020 else math.inf
 
-    v_lo = 1 << (2 * n - 2)
-    v_hi = 1 << (2 * n - 1)
     found = None
     if len(zero_rows) == 2:
         r1, r2 = zero_rows
@@ -345,11 +353,10 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
                 if vsq <= 0:
                     continue
                 root = math.isqrt(vsq)
-                if root * root != vsq or not v_lo < root < v_hi:
+                if root * root != vsq:
                     continue
                 u = c1 * r1[0] + c2 * r2[0]
-                if u * pub.e_a1 + vsq * pub.e_a2 == ct.c:
-                    found = {"u": u, "v": root, "m1": u >> n, "m2": root >> n}
+                if u * pub.e_a1 + vsq * pub.e_a2 == ct.c and (found := _message_fields(u, root, n)):
                     break
             if found:
                 break

@@ -22,7 +22,6 @@ from functools import partial
 
 from . import cipher, codec, rabin
 from .keys import generate_keypair
-from .numtheory import gen_prime_3mod4
 
 __all__ = [
     "BenchRow",
@@ -57,17 +56,13 @@ class RsaKeyPair:
 
 
 def rsa_keygen(n, rng):
-    """Textbook RSA with a 2n-bit modulus and public exponent 65537."""
+    """Textbook RSA, e = 65537, on the first rabin.keygen(n - 1) pair with phi prime to e."""
     e = 65537
     while True:
-        p = gen_prime_3mod4(n - 1, rng)
-        q = gen_prime_3mod4(n - 1, rng)
-        if p == q:
-            continue
-        phi = (p - 1) * (q - 1)
-        if math.gcd(e, phi) != 1:
-            continue
-        return RsaKeyPair(p * q, e, pow(e, -1, phi))
+        kp = rabin.keygen(n - 1, rng)
+        phi = (kp.p - 1) * (kp.q - 1)
+        if math.gcd(e, phi) == 1:
+            return RsaKeyPair(kp.N, e, pow(e, -1, phi))
 
 
 def rsa_encrypt(kp, m):

@@ -7,18 +7,18 @@ Encryption blinds the message pair with fresh session values:
     C = U*e_a1 + V^2*e_a2
 
 using only multiplication and addition on public values. Decryption
-recovers V^2 mod p*q through the private exponent, walks the four CRT
-square roots, and accepts the single root that divides the ciphertext
-equation exactly while staying inside the V window; the session values
-fall away under floor division by 2^n.
+recovers W = V^2 mod p*q through the private exponent, takes the four
+square roots of W with rabin.decrypt_all, and accepts the single root
+that divides the ciphertext equation exactly while staying inside the
+V window; the session values fall away under floor division by 2^n.
 """
 
 from dataclasses import dataclass
 
 from .codec import EncodedMessage
-from .errors import InvalidCiphertext, NonResidueError, ParameterViolation
+from .errors import InvalidCiphertext, ParameterViolation
 from .keys import parse_uint
-from .numtheory import four_roots, sqrt_mod_p_3mod4
+from .rabin import RabinKeyPair, decrypt_all
 
 __all__ = [
     "Ciphertext",
@@ -93,7 +93,6 @@ def decrypt(kp, ct):
     """
     pub, priv = kp.public, kp.private
     n = pub.n
-    p, q = priv.p, priv.q
     c = ct.c
     v_lo = 1 << (2 * n - 2)
     v_hi = 1 << (2 * n - 1)
@@ -101,15 +100,11 @@ def decrypt(kp, ct):
     c_hi = ((1 << 4 * n + 1) - 1) * pub.e_a1 + (v_hi - 1) ** 2 * pub.e_a2
     if not c_lo <= c <= c_hi:
         raise InvalidCiphertext("ciphertext outside the range of the public key")
-    w = c * priv.d % (p * q)
-    try:
-        x_p = sqrt_mod_p_3mod4(w % p, p)
-        x_q = sqrt_mod_p_3mod4(w % q, q)
-    except NonResidueError as exc:
-        raise InvalidCiphertext("unmasked value is not a quadratic residue") from exc
+    pq = priv.pq
+    roots = decrypt_all(RabinKeyPair(pq, priv.p, priv.q), c * priv.d % pq)
     accepted = []
     # dict.fromkeys collapses duplicate roots (x_p or x_q zero)
-    for v in dict.fromkeys(four_roots(x_p, x_q, p, q)):
+    for v in dict.fromkeys(roots):
         if not v_lo < v < v_hi:
             continue
         num = c - v * v * pub.e_a2

@@ -86,6 +86,7 @@ def _cmd_encrypt(args):
 
 def _cmd_decrypt(args):
     kp = _load_keypair(args.pub, args.priv)
+    check_public_key(kp.public)
     report = validate_keypair(kp, strict=False)
     if not report.valid:
         raise InconsistentKey("; ".join(report.violations))

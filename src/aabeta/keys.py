@@ -10,8 +10,9 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from . import rabin
 from .errors import GenerationFailure, InconsistentKey
-from .numtheory import gen_prime_3mod4, is_probable_prime
+from .numtheory import is_probable_prime
 
 __all__ = [
     "PublicKey",
@@ -68,7 +69,7 @@ _D_RETRIES = 1000
 
 
 def generate_keypair(n, rng):
-    """Generate a full key pair at bit size n (n >= 8).
+    """Generate a full key pair at bit size n (n >= 8) on rabin.keygen's primes.
 
     d is sampled uniformly from (e_a1^(4/9), p*q) coprime to p*q, and
     e_a2 is the inverse of d shifted by the minimal multiple of p*q
@@ -76,11 +77,8 @@ def generate_keypair(n, rng):
     """
     if n < 8:
         raise ValueError("n must be at least 8")
-    p = gen_prime_3mod4(n, rng)
-    q = p
-    while q == p:
-        q = gen_prime_3mod4(n, rng)
-    pq = p * q
+    primes = rabin.keygen(n, rng)
+    p, q, pq = primes.p, primes.q, primes.N
     e_a1 = p * p * q
     floor_pow = e_a1**4
     for _ in range(_D_RETRIES):
@@ -127,16 +125,16 @@ def validate_keypair(kp, strict=True):
             bad.append("p-prime: p is not prime")
         if not is_probable_prime(q):
             bad.append("q-prime: q is not prime")
-        if not (1 << n) < p < (1 << (n + 1)):
-            bad.append(f"p-range: p not in (2^{n}, 2^{n + 1})")
-        if not (1 << n) < q < (1 << (n + 1)):
-            bad.append(f"q-range: q not in (2^{n}, 2^{n + 1})")
-        if not (1 << (3 * n)) < e_a1 < (1 << (3 * n + 3)):
-            bad.append(f"e1-range: e_a1 not in (2^{3 * n}, 2^{3 * n + 3})")
-        if not (1 << (3 * n + 4)) < e_a2 < (1 << (3 * n + 6)):
-            bad.append(f"e2-range: e_a2 not in (2^{3 * n + 4}, 2^{3 * n + 6})")
-        if not (1 << (2 * n)) < pq < (1 << (2 * n + 2)):
-            bad.append(f"pq-range: p*q not in (2^{2 * n}, 2^{2 * n + 2})")
+        for tag, name, x, a, b in (
+            ("p", "p", p, n, n + 1),
+            ("q", "q", q, n, n + 1),
+            ("e1", "e_a1", e_a1, 3 * n, 3 * n + 3),
+            ("e2", "e_a2", e_a2, 3 * n + 4, 3 * n + 6),
+            ("pq", "p*q", pq, 2 * n, 2 * n + 2),
+        ):
+            # 2^a < x < 2^b by bit lengths: no power of two is built from the file's n
+            if not (x > 0 and (x - 1).bit_length() > a and x.bit_length() <= b):
+                bad.append(f"{tag}-range: {name} not in (2^{a}, 2^{b})")
         if d**9 <= e_a1**4:
             bad.append("d-floor: d not above e_a1^(4/9)")
         if not 1 < d < pq:

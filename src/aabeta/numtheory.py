@@ -156,8 +156,9 @@ def four_roots(x_p, x_q, p, q):
     if not 0 <= x_q < q:
         raise ValueError("x_q must lie in [0, q)")
     modulus = p * q
-    t_p = x_p * pow(q, -1, p) * q
-    t_q = x_q * pow(p, -1, q) * p
+    e_p = q * pow(q, -1, p)  # 1 mod p and 0 mod q, so 1 - e_p is 0 mod p and 1 mod q
+    t_p = x_p * e_p
+    t_q = x_q * (1 - e_p)
     return (
         (t_p + t_q) % modulus,
         (t_p - t_q) % modulus,

@@ -85,7 +85,7 @@ def decrypt_all(kp, c):
         x_p = sqrt_mod_p_3mod4(c % kp.p, kp.p)
         x_q = sqrt_mod_p_3mod4(c % kp.q, kp.q)
     except NonResidueError as exc:
-        raise InvalidCiphertext("ciphertext is not a quadratic residue") from exc
+        raise InvalidCiphertext("value is not a quadratic residue mod N") from exc
     return four_roots(x_p, x_q, kp.p, kp.q)
 
 
@@ -95,6 +95,8 @@ def encrypt_redundant(n_modulus, payload, l):
         raise ValueError("l must be at least 1")
     if payload < 0:
         raise ValueError("payload must be nonnegative")
+    if payload.bit_length() + l > n_modulus.bit_length():  # before any shift by l
+        raise ValueError("tagged message does not fit below N")
     m = (payload << l) | (payload & ((1 << l) - 1))
     if m >= n_modulus:
         raise ValueError("tagged message does not fit below N")
@@ -105,8 +107,10 @@ def decrypt_redundant(kp, c, l):
     """Unique payload whose roots carry the replicated tag, else a report.
 
     Returns the payload integer when exactly one root matches; an
-    AmbiguityReport when several do.
+    AmbiguityReport when several do; ValueError unless 0 < l < N.bit_length().
     """
+    if not 1 <= l < kp.N.bit_length():
+        raise ValueError("l must lie in [1, N.bit_length())")
     mask = (1 << l) - 1
     matches = [
         r for r in dict.fromkeys(decrypt_all(kp, c)) if (r & mask) == (r >> l) & mask
@@ -120,12 +124,11 @@ def decrypt_redundant(kp, c, l):
 
 def encrypt_extrabits(n_modulus, m):
     """Square mod N plus the two disambiguation bits (parity, Jacobi)."""
-    if not 0 <= m < n_modulus:
-        raise ValueError("message must lie in [0, N)")
+    c = encrypt(n_modulus, m)
     if math.gcd(m, n_modulus) != 1:
         raise ValueError("message shares a factor with the modulus")
     jac = 1 if jacobi(m, n_modulus) == 1 else 0
-    return m * m % n_modulus, m & 1, jac
+    return c, m & 1, jac
 
 
 def decrypt_extrabits(kp, c, parity_bit, jacobi_bit):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from aabeta import attacks
@@ -23,9 +23,9 @@ from aabeta.attacks import (
     lll_reduce,
     preset_scale,
 )
-from aabeta.cipher import Ciphertext, encrypt_trace, sample_ephemerals
+from aabeta.cipher import Ciphertext, decrypt, encrypt_trace, sample_ephemerals
 from aabeta.codec import capacity_bytes, encode
-from aabeta.errors import FactoringFailure, InconsistentKey
+from aabeta.errors import FactoringFailure, InconsistentKey, InvalidCiphertext
 from aabeta.keys import PublicKey, generate_keypair
 from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
@@ -123,6 +123,75 @@ def test_congruence_bruteforce_budget_too_small_at_n64():
     assert report.diagnostics["budget_exhausted"]
     assert report.diagnostics["j_window"] > 1_000_000
     assert report.diagnostics["scanned"] == 1_000_000
+
+
+def _full_scan(pub, ct):
+    """The congruence scan with a budget of its whole j-window."""
+    window = congruence_bruteforce(pub, ct, 0).diagnostics["j_window"]
+    return congruence_bruteforce(pub, ct, window)
+
+
+_U_IN_RANGE = (((1 << 48) + 1) << 16) + (1 << 15) + 1  # m1 = 2^48 + 1, k1 = 2^15 + 1 at n = 16
+_V_IN_RANGE = (((1 << 14) + 5) << 16) + (1 << 15) + 3  # m2 = 2^14 + 5, k2 = 2^15 + 3
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [(_U_IN_RANGE, (1 << 30) + 1), (5, _V_IN_RANGE), (-7, _V_IN_RANGE)],
+    ids=["m2-below-range", "m1-zero", "u-negative"],
+)
+def test_attacks_recover_only_message_pairs(u, v):
+    # C = U*e_a1 + V^2*e_a2 with V in its window, but (U >> n, V >> n) is no
+    # message pair: m2 = 2^14, m1 = 0 or m1 = -1. decrypt rejects each, so
+    # an attack that recovers it reports a wrong answer.
+    kp = generate_keypair(16, random.Random("m2-range:16"))
+    ct = Ciphertext(u * kp.public.e_a1 + v * v * kp.public.e_a2)
+    with pytest.raises(InvalidCiphertext):
+        decrypt(kp, ct)
+    report = _full_scan(kp.public, ct)
+    assert report.verdict == VERDICT_NOT_RECOVERED
+    assert report.recovered is None
+    assert report.diagnostics["scanned"] == report.diagnostics["j_window"] > 0
+    assert lattice_attack(kp.public, ct).recovered is None
+
+
+def _around(lo, hi):
+    """Integers in (lo, hi) and a few steps either side of each end."""
+    return (
+        st.integers(lo - 3, lo + 3) | st.integers(hi - 3, hi + 3) | st.integers(lo + 1, hi - 1)
+    )
+
+
+@st.composite
+def _near_range_instances(draw):
+    n = draw(st.integers(min_value=8, max_value=12))
+    kp = generate_keypair(n, random.Random(draw(st.integers(0, 10**6))))
+    m1 = draw(_around(1 << 3 * n, 1 << 3 * n + 1))
+    m2 = draw(_around(1 << n - 2, 1 << n - 1))
+    k1, k2 = (draw(st.integers((1 << n - 1) + 1, (1 << n) - 1)) for _ in range(2))
+    u, v = (m1 << n) + k1, (m2 << n) + k2
+    return kp, (m1, m2), Ciphertext(u * kp.public.e_a1 + v * v * kp.public.e_a2)
+
+
+@settings(deadline=None)
+@given(instance=_near_range_instances())
+def test_attacks_agree_with_decrypt(instance):
+    # honest session values, m1 and m2 inside or just outside their ranges
+    kp, (m1, m2), ct = instance
+    try:
+        msg = decrypt(kp, ct)
+    except InvalidCiphertext:
+        expected = None
+    else:
+        expected = (msg.m1, msg.m2)
+        assert expected == (m1, m2)
+    event("decrypts" if expected else "rejected")
+    report = _full_scan(kp.public, ct)
+    assert (report.verdict == VERDICT_RECOVERED) == (expected is not None)
+    assert (report.recovered and (report.recovered["m1"], report.recovered["m2"])) == expected
+    lattice = lattice_attack(kp.public, ct).recovered
+    if lattice:
+        assert (lattice["m1"], lattice["m2"]) == expected
 
 
 # budgets and counts on either side of the 2^14-candidate filter block

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from aabeta import cipher
+from aabeta import rabin
 from aabeta.cipher import (
     Ciphertext,
     EphemeralPair,
@@ -85,7 +85,7 @@ def test_out_of_range_ciphertexts_rejected_before_any_root(monkeypatch):
     def no_root(*args):
         raise AssertionError("square root taken for an out-of-range ciphertext")
 
-    monkeypatch.setattr(cipher, "sqrt_mod_p_3mod4", no_root)
+    monkeypatch.setattr(rabin, "sqrt_mod_p_3mod4", no_root)  # decrypt_all's root step
     for kp in (vectors.keypair(), generate_keypair(16, random.Random(3))):
         c_lo, c_hi = ciphertext_range(kp.public)
         huge = random.Random(6).getrandbits(10**6) | 1 << 10**6 - 1

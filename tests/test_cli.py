@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -454,6 +455,56 @@ def test_rabin_ciphertext_uses_ciphertext_grammar(rabin_files, tmp_path):
     for bad in (f"{c:_}", str(c).translate(_ARABIC_INDIC), f"+{c}"):
         ct.write_text(bad + "\n", encoding="utf-8")
         assert rabin_decrypt(priv, ct, tmp_path / "o") == 2
+
+
+def _cap_address_space():
+    # 2 GiB: a 2^(2^40) shift fails at once with MemoryError, not by exhausting the host
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("validate", "--pub", "{pub}", "--priv", "{priv}"), 4),
+        (("validate", "--pub", "{pub}", "--priv", "{priv}", "--relaxed"), 0),
+        (("decrypt", "--pub", "{pub}", "--priv", "{priv}", "--in", "{ct}", "--out", "{out}"), 4),
+        (("rabin", "encrypt", "--pub", "{rpub}", "--in", "{payload}", "--out", "{out}",
+          "--scheme", "redundant", "--l", "{huge}"), 2),
+        (("rabin", "decrypt", "--priv", "{rpriv}", "--in", "{rct}", "--out", "{out}",
+          "--scheme", "redundant", "--l", "{huge}"), 2),
+    ],
+    ids=["validate", "validate-relaxed", "decrypt", "rabin-encrypt-l", "rabin-decrypt-l"],
+)
+def test_claimed_sizes_build_no_power_of_two(keys16, rabin_files, tmp_path, argv, code):
+    # A valid n = 16 key pair whose files both claim n = 2^40, and a Rabin
+    # --l of 2^40: 1 << n or 1 << l would need 128 GiB.
+    huge = 1 << 40
+    pub, priv = keys16
+    for path in (pub, priv):
+        first, rest = path.read_text().split("\n", 1)
+        assert first.startswith("n = ")
+        path.write_text(f"n = {huge:#x}\n{rest}")
+    rpriv, rct = rabin_files
+    ct = tmp_path / "ct.txt"
+    ct.write_text(f"{vectors.C16:#x}\n")
+    payload = tmp_path / "m.bin"
+    payload.write_bytes(b"ab")
+    paths = {"pub": pub, "priv": priv, "ct": ct, "out": tmp_path / "out", "payload": payload,
+             "rpub": tmp_path / "rpub.txt", "rpriv": rpriv, "rct": rct, "huge": huge}
+    src = str(Path(aabeta.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "aabeta.cli", *(arg.format(**paths) for arg in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code
 
 
 def exit_code(*argv):
