@@ -60,24 +60,12 @@ def _cmd_keygen(args):
 def _cmd_encrypt(args):
     pub = parse_public_key(_read_text(args.pub))
     check_public_key(pub)
-    fixed = (args.k1, args.k2, args.raw_m1, args.raw_m2)
-    if any(v is not None for v in fixed) and not args.insecure_fixed_ephemerals:
-        raise ValueError(
-            "--k1/--k2/--raw-m1/--raw-m2 need --insecure-fixed-ephemerals"
-        )
-    if args.raw_m1 is not None or args.raw_m2 is not None:
-        if args.raw_m1 is None or args.raw_m2 is None:
-            raise ValueError("--raw-m1 and --raw-m2 must be given together")
-        msg = codec.EncodedMessage(args.raw_m1, args.raw_m2, pub.n)
+    if args.infile is None:
+        ka = parse_fields(_read_text(args.insecure_known_answer), ("m1", "m2", "k1", "k2"))
+        msg = codec.EncodedMessage(ka["m1"], ka["m2"], pub.n)
+        eph = cipher.EphemeralPair(ka["k1"], ka["k2"])
     else:
-        if args.infile is None:
-            raise ValueError("--in is required unless --raw-m1/--raw-m2 are given")
         msg = codec.encode(Path(args.infile).read_bytes(), pub.n)
-    if args.k1 is not None or args.k2 is not None:
-        if args.k1 is None or args.k2 is None:
-            raise ValueError("--k1 and --k2 must be given together")
-        eph = cipher.EphemeralPair(args.k1, args.k2)
-    else:
         eph = cipher.sample_ephemerals(pub.n, random.Random(args.seed))
     ct = cipher.encrypt_trace(pub, msg, eph).ciphertext
     _write_text(args.out, cipher.format_ciphertext(ct))
@@ -242,7 +230,10 @@ def _cmd_rabin_encrypt(args):
 
 def _cmd_rabin_decrypt(args):
     priv = parse_fields(_read_text(args.priv), _RABIN_PRIV_FIELDS)
-    kp = rabin.RabinKeyPair(priv["p"] * priv["q"], priv["p"], priv["q"])
+    try:
+        kp = rabin.RabinKeyPair(priv["p"] * priv["q"], priv["p"], priv["q"])
+    except ValueError as exc:
+        raise InconsistentKey(f"inconsistent Rabin key: {exc}") from exc
     if args.scheme == "redundant":
         c = cipher.parse_ciphertext(_read_text(args.infile)).c
         result = rabin.decrypt_redundant(kp, c, args.l)
@@ -277,14 +268,11 @@ def build_parser():
 
     p = sub.add_parser("encrypt", help="encrypt a payload file")
     p.add_argument("--pub", required=True)
-    p.add_argument("--in", dest="infile")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile")
+    source.add_argument("--insecure-known-answer")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=parse_uint, default=None)
-    p.add_argument("--insecure-fixed-ephemerals", action="store_true")
-    p.add_argument("--k1", type=parse_uint)
-    p.add_argument("--k2", type=parse_uint)
-    p.add_argument("--raw-m1", type=parse_uint)
-    p.add_argument("--raw-m2", type=parse_uint)
     p.set_defaults(handler=_cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a ciphertext file")

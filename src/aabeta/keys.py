@@ -57,7 +57,6 @@ class KeyPair:
 
 @dataclass
 class ValidationReport:
-    strict: bool
     violations: list = field(default_factory=list)
 
     @property
@@ -89,8 +88,7 @@ def generate_keypair(n, rng):
         raise GenerationFailure("could not sample a decryption exponent")
     e = pow(d, -1, pq)
     lo = 1 << (3 * n + 4)
-    if e <= lo:
-        e += ((lo - e) // pq + 1) * pq
+    e += ((lo - e) // pq + 1) * pq  # e < pq < 2^(2n+2) < lo
     assert lo < e < 1 << (3 * n + 6)
     return KeyPair(PublicKey(n, e_a1, e), PrivateKey(p, q, d))
 
@@ -141,7 +139,7 @@ def validate_keypair(kp, strict=True):
             bad.append("d-range: d not in (1, p*q)")
         if math.gcd(d, pq) != 1:
             bad.append("d-coprime: gcd(d, p*q) != 1")
-    return ValidationReport(strict=strict, violations=bad)
+    return ValidationReport(bad)
 
 
 def check_public_key(pub):

@@ -26,7 +26,7 @@ from aabeta.attacks import (
 from aabeta.cipher import Ciphertext, decrypt, encrypt_trace, sample_ephemerals
 from aabeta.codec import capacity_bytes, encode
 from aabeta.errors import FactoringFailure, InconsistentKey, InvalidCiphertext
-from aabeta.keys import PublicKey, generate_keypair
+from aabeta.keys import KeyPair, PublicKey, generate_keypair, validate_keypair
 from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
 import vectors
@@ -595,6 +595,24 @@ def test_lattice_attack_auto_scale_toy():
         assert report.recovered["u"] * kp.public.e_a1 + report.recovered[
             "v"
         ] ** 2 * kp.public.e_a2 == trace.ciphertext.c
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_lattice_attack_recovers_from_oversized_e_a2(n):
+    # e_a2 + 2^64*pq still inverts d mod pq, so the key decrypts, but the
+    # larger coefficient makes (U, V^2, 0) short enough for the search to find
+    for seed in range(20):
+        rng = random.Random(f"weak-e2:{n}:{seed}")
+        kp = generate_keypair(n, rng)
+        pub = PublicKey(n, kp.public.e_a1, kp.public.e_a2 + (kp.private.pq << 64))
+        weak = KeyPair(pub, kp.private)
+        assert validate_keypair(weak, strict=False).valid
+        msg = encode(rng.randbytes(rng.randrange(capacity_bytes(n) + 1)), n)
+        ct = encrypt_trace(pub, msg, sample_ephemerals(n, rng)).ciphertext
+        assert decrypt(weak, ct) == msg
+        report = lattice_attack(pub, ct, scale=preset_scale(n))
+        assert report.verdict == VERDICT_RECOVERED
+        assert (report.recovered["m1"], report.recovered["m2"]) == (msg.m1, msg.m2)
 
 
 # --- factoring from roots ---

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import aabeta
 from aabeta.attacks import euclid_division_check
 from aabeta.cli import _ATTACK_KINDS, main, report_to_text
+from aabeta.errors import GenerationFailure
 from aabeta.keys import parse_private_key, parse_public_key
 
 import vectors
@@ -110,24 +111,59 @@ def test_encrypt_deterministic_under_seed(keys16, tmp_path):
     assert cts[0] == cts[1]
 
 
+def _known_answer_record(path, **overrides):
+    fields = {"m1": vectors.M1_16, "m2": vectors.M2_16, "k1": vectors.K1_16,
+              "k2": vectors.K2_16, **overrides}
+    path.write_text("".join(f"{name} = {value}\n" for name, value in fields.items()
+                            if value is not None))
+    return path
+
+
 def test_reference_vector_via_fixed_ephemerals(reference_keys, tmp_path):
-    pub, priv = reference_keys
+    pub, _ = reference_keys
     ct = tmp_path / "ct.txt"
-    assert run(
-        "encrypt", "--pub", str(pub), "--out", str(ct),
-        "--insecure-fixed-ephemerals",
-        "--k1", str(vectors.K1_16), "--k2", str(vectors.K2_16),
-        "--raw-m1", str(vectors.M1_16), "--raw-m2", str(vectors.M2_16),
-    ) == 0
+    ka = _known_answer_record(tmp_path / "ka.txt")
+    assert run("encrypt", "--pub", str(pub), "--out", str(ct),
+               "--insecure-known-answer", str(ka)) == 0
     assert ct.read_text().strip() == hex(vectors.C16)
 
 
 def test_fixed_ephemerals_require_gate(reference_keys, tmp_path):
+    # the record is the only way in: the old flags, --in mixed with the record,
+    # and neither of the two all stop in argparse
     pub, _ = reference_keys
     payload = tmp_path / "p.bin"
     payload.write_bytes(b"a")
-    assert run("encrypt", "--pub", str(pub), "--in", str(payload),
-               "--out", str(tmp_path / "ct"), "--k1", "54433", "--k2", "33079") == 2
+    ka = _known_answer_record(tmp_path / "ka.txt")
+    for options in (
+        ("--in", payload, "--insecure-fixed-ephemerals"),
+        ("--in", payload, "--k1", "54433", "--k2", "33079"),
+        ("--in", payload, "--raw-m1", "544644664056570", "--raw-m2", "21777"),
+        ("--in", payload, "--insecure-known-answer", ka),
+        (),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run("encrypt", "--pub", str(pub), "--out", str(tmp_path / "ct"), *map(str, options))
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "overrides, reason",
+    [
+        ({"k2": None}, "missing fields"),
+        ({"u": 5}, "unknown field"),
+        ({"m1": 1 << 48}, "m1 outside"),
+        ({"k1": 1 << 15}, "session values outside"),
+    ],
+    ids=["missing-k2", "extra-field", "m1-2^48", "k1-2^15"],
+)
+def test_known_answer_record_rejects_bad_fields(reference_keys, tmp_path, capsys,
+                                                overrides, reason):
+    pub, _ = reference_keys
+    ka = _known_answer_record(tmp_path / "ka.txt", **overrides)
+    assert run("encrypt", "--pub", str(pub), "--out", str(tmp_path / "ct"),
+               "--insecure-known-answer", str(ka)) == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_decrypt_corrupted_ciphertext(keys16, tmp_path):
@@ -457,6 +493,57 @@ def test_rabin_ciphertext_uses_ciphertext_grammar(rabin_files, tmp_path):
         assert rabin_decrypt(priv, ct, tmp_path / "o") == 2
 
 
+@pytest.mark.parametrize("scheme", ["redundant", "extrabits"])
+@pytest.mark.parametrize("bad_p", ["0x15", "q"], ids=["p-1mod4", "p-equals-q"])
+def test_rabin_decrypt_inconsistent_key_exits_4(tmp_path, scheme, bad_p):
+    pub = tmp_path / "rpub.txt"
+    priv = tmp_path / "rpriv.txt"
+    assert run("rabin", "keygen", "--n", "24", "--seed", "5",
+               "--out-pub", str(pub), "--out-priv", str(priv)) == 0
+    payload = tmp_path / "m.bin"
+    payload.write_bytes(b"ab")
+    ct = tmp_path / "rct.txt"
+    assert run("rabin", "encrypt", "--pub", str(pub), "--in", str(payload),
+               "--out", str(ct), "--scheme", scheme) == 0
+    decrypt = ("rabin", "decrypt", "--priv", str(priv), "--in", str(ct),
+               "--out", str(tmp_path / "o"), "--scheme", scheme)
+    if scheme == "redundant":
+        assert run(*decrypt, "--l", "64") == 2  # N has under 64 bits
+    n_line, _, q_line = priv.read_text().splitlines()
+    p = q_line.partition(" = ")[2] if bad_p == "q" else bad_p
+    priv.write_text(f"{n_line}\np = {p}\n{q_line}\n")
+    assert run(*decrypt) == 4
+
+
+def test_key_files_disagreeing_on_n_exit_4(keys16, tmp_path, capsys):
+    pub, priv = keys16
+    priv.write_text(priv.read_text().replace("n = 0x10", "n = 0x11"))
+    ct = tmp_path / "ct.txt"
+    ct.write_text(f"{vectors.C16:#x}\n")
+    assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 4
+    assert run("decrypt", "--pub", str(pub), "--priv", str(priv),
+               "--in", str(ct), "--out", str(tmp_path / "o")) == 4
+    assert capsys.readouterr().err.count("key files disagree on n") == 2
+
+
+def test_generation_failure_exits_3(monkeypatch, tmp_path, capsys):
+    def exhausted(n, rng):
+        raise GenerationFailure("no prime found")
+
+    monkeypatch.setattr(aabeta.rabin, "keygen", exhausted)
+    outs = ("--out-pub", str(tmp_path / "pub"), "--out-priv", str(tmp_path / "priv"))
+    assert run("keygen", "--n", "16", *outs) == 3
+    assert run("rabin", "keygen", "--n", "16", *outs) == 3
+    assert capsys.readouterr().err.count("no prime found") == 2
+
+
+def test_record_files_skip_blank_lines(keys16, tmp_path):
+    pub, priv = keys16
+    for path in (pub, priv):
+        path.write_text("\n" + path.read_text().replace("\n", "\n  \n\t\n"))
+    assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 0
+
+
 def _cap_address_space():
     # 2 GiB: a 2^(2^40) shift fails at once with MemoryError, not by exhausting the host
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -557,6 +644,7 @@ _FUZZ_INTS = (
 )
 _FUZZ_COMMANDS = (
     ("encrypt", "--in", "{payload}", "--out", "{out}", "--seed", "0"),
+    ("encrypt", "--insecure-known-answer", "{record}", "--out", "{out}"),
     ("decrypt", "--priv", "{priv}", "--in", "{ct}", "--out", "{out}"),
     ("validate", "--priv", "{priv}"),
     ("validate", "--priv", "{priv}", "--relaxed"),
@@ -573,25 +661,34 @@ _FUZZ_COMMANDS = (
     command=st.sampled_from(_FUZZ_COMMANDS),
     n=st.integers(min_value=0, max_value=20),
     key=st.tuples(*[_FUZZ_INTS] * 5),
-    values=st.tuples(*[_FUZZ_INTS] * 7),
+    values=st.tuples(*[_FUZZ_INTS] * 11),
 )
-@example(  # the reference public key with p = 0
+@example(  # the reference known-answer record
     command=_FUZZ_COMMANDS[1],
     n=16,
+    key=(vectors.E_A1_16, vectors.E_A2_16, vectors.P16, vectors.Q16, vectors.D16),
+    values=(vectors.C16, vectors.U16, vectors.V16, *vectors.ROOTS16,
+            vectors.M1_16, vectors.M2_16, vectors.K1_16, vectors.K2_16),
+)
+@example(  # the reference public key with p = 0
+    command=_FUZZ_COMMANDS[2],
+    n=16,
     key=(vectors.E_A1_16, vectors.E_A2_16, 0, vectors.Q16, vectors.D16),
-    values=(vectors.C16, vectors.U16, vectors.V16, *vectors.ROOTS16),
+    values=(vectors.C16, vectors.U16, vectors.V16, *vectors.ROOTS16,
+            vectors.M1_16, vectors.M2_16, vectors.K1_16, vectors.K2_16),
 )
 def test_cli_input_files_end_in_a_documented_exit_code(command, n, key, values):
     e_a1, e_a2, p, q, d = key
-    c, u, v, *roots = values
+    c, u, v, *roots, m1, m2, k1, k2 = values
     with tempfile.TemporaryDirectory() as tmp:
-        names = ("pub", "priv", "ct", "ka", "roots", "payload", "out")
+        names = ("pub", "priv", "ct", "ka", "roots", "record", "payload", "out")
         paths = {name: Path(tmp, name) for name in names}
         paths["pub"].write_text(f"n = {n}\neA1 = {e_a1}\neA2 = {e_a2}\n")
         paths["priv"].write_text(f"n = {n}\np = {p}\nq = {q}\nd = {d}\n")
         paths["ct"].write_text(f"{c}\n")
         paths["ka"].write_text(f"u = {u}\nv = {v}\n")
         paths["roots"].write_text("".join(f"v{i + 1} = {r}\n" for i, r in enumerate(roots)))
+        paths["record"].write_text(f"m1 = {m1}\nm2 = {m2}\nk1 = {k1}\nk2 = {k2}\n")
         paths["payload"].write_bytes(b"hi")
         options = (arg.format(**paths) for arg in command[1:])
         assert run(command[0], "--pub", str(paths["pub"]), *options) in (0, 2, 4, 5)
