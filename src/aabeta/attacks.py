@@ -254,7 +254,11 @@ def lll_reduce(basis):
     """Integral LLL with delta = 3/4 (de Weger 1987; Cohen, Alg. 2.6.7).
 
     d_0 = 1, d_i+1 = |b*_0|^2 ... |b*_i|^2 and lam_ij = d_j+1 * mu_ij stay
-    exact integers. Row i's d_i+1 and lam_i* are computed from the current
+    exact integers. Rows 0 and 1 are first Lagrange-Gauss reduced on
+    n0 = |b_0|^2, g = <b_1, b_0> and n1 = |b_1|^2 alone (the k=1 size
+    reduction and Lovasz test 4 n1 >= 3 n0, since d_0 = 1), which then
+    seed d_1 = n0, d_2 = n0 n1 - g^2 and lam_10 = g; the loop starts at
+    k = 2. Later rows' d_i+1 and lam_i* are computed from the current
     rows when k first reaches i (k_max), so a swap updates lam only for
     rows k+1..k_max; a dependent row raises ValueError there. Row k is
     size-reduced against j = k-1 down to 0 when 2|lam_kj| > d_j+1, by
@@ -271,6 +275,22 @@ def lll_reduce(basis):
     d = [1] * (dim + 1)
     lam = [[0] * dim for _ in range(dim)]
     k, k_max = 0, -1
+    if dim >= 2:
+        n0, g, n1 = (sum(x * y for x, y in zip(b[i], b[j])) for i, j in ((0, 0), (1, 0), (1, 1)))
+        if n0 * n1 == g * g:  # Cauchy-Schwarz equality, a zero row included
+            raise ValueError("basis rows are linearly dependent")
+        while True:
+            if 2 * abs(g) > n0:
+                r = (2 * g + n0) // (2 * n0)
+                b[1] = [x - r * y for x, y in zip(b[1], b[0])]
+                n1 += r * (r * n0 - 2 * g)
+                g -= r * n0
+            if 4 * n1 >= 3 * n0:
+                break
+            b[0], b[1] = b[1], b[0]
+            n0, n1 = n1, n0
+        d[1], d[2], lam[1][0] = n0, n0 * n1 - g * g, g
+        k, k_max = 2, 1
     while k < dim:
         if k > k_max:
             k_max = k

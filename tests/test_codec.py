@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aabeta.codec import EncodedMessage, capacity_bytes, decode, encode
 from aabeta.errors import CapacityError, CodecError
@@ -42,6 +44,25 @@ def test_every_length_round_trips(n):
         for _ in range(20):
             payload = rng.randbytes(length)
             assert decode(encode(payload, n)) == payload
+
+
+@st.composite
+def payload_pairs(draw):
+    """A bit size n in [8, 64] and two payloads of at most capacity_bytes(n) bytes."""
+    n = draw(st.integers(min_value=8, max_value=64))
+    payloads = st.binary(max_size=capacity_bytes(n))
+    return n, draw(payloads), draw(payloads)
+
+
+@settings(deadline=None)
+@given(payload_pairs())
+@example((8, b"", b"\x00"))  # shortest payloads: rank 0 and rank 1
+@example((64, b"\xff" * 31, b"\x00" * 31))  # full capacity, last and first rank
+def test_codec_is_a_bijection(case):
+    n, p, q = case
+    mp, mq = encode(p, n), encode(q, n)
+    assert decode(mp) == p and decode(mq) == q
+    assert ((mp.m1, mp.m2) == (mq.m1, mq.m2)) == (p == q)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
