@@ -105,7 +105,8 @@ def _square_candidates(s0, step, count):
         s = s0 - step * start
         mask = (1 << size) - 1
         for m, squares in _SQUARES.items():
-            pattern = sum(1 << t for t in range(m) if (s - step * t) % m in squares)
+            s_m, step_m = s % m, step % m
+            pattern = sum(1 << t for t in range(m) if (s_m - step_m * t) % m in squares)
             width = m
             while width < size:
                 pattern |= pattern << width
@@ -250,6 +251,10 @@ def preset_scale(n):
     return 1 << (20 * n)
 
 
+# Leading bits of the Gram entries on which lll_reduce's k=1 phase decides.
+_GAUSS_BITS = 128
+
+
 def lll_reduce(basis):
     """Integral LLL with delta = 3/4 (de Weger 1987; Cohen, Alg. 2.6.7).
 
@@ -258,9 +263,17 @@ def lll_reduce(basis):
     n0 = |b_0|^2, g = <b_1, b_0> and n1 = |b_1|^2 alone (the k=1 size
     reduction and Lovasz test 4 n1 >= 3 n0, since d_0 = 1), which then
     seed d_1 = n0, d_2 = n0 n1 - g^2 and lam_10 = g; the loop starts at
-    k = 2. Later rows' d_i+1 and lam_i* are computed from the current
-    rows when k first reaches i (k_max), so a swap updates lam only for
-    rows k+1..k_max; a dependent row raises ValueError there. Row k is
+    k = 2. That phase decides on the leading _GAUSS_BITS of the Gram
+    entries (Lehmer 1938): with the entries shifted right by s and the
+    steps so far as a unimodular m, c_i >= |m_i0| + |m_i1| bounds the
+    true entries / 2^s to a0 +- c0^2, ag +- c0 c1 and a1 +- c1^2, and
+    a step is taken only when every value in those intervals gives it.
+    The first uncertain step flushes m into the exact entries; when no
+    step was certain, one is taken on the exact entries. Rows 0 and 1
+    are multiplied by the composed transform once, at the end. Later
+    rows' d_i+1 and lam_i* are computed from the current rows when k
+    first reaches i (k_max), so a swap updates lam only for rows
+    k+1..k_max; a dependent row raises ValueError there. Row k is
     size-reduced against j = k-1 down to 0 when 2|lam_kj| > d_j+1, by
     r = (2 lam_kj + d_j+1) // (2 d_j+1) = floor(mu_kj + 1/2). The d_k a
     swap would give, new_dk = (d_k-1 d_k+1 + lam_k,k-1^2) / d_k, is an
@@ -279,16 +292,48 @@ def lll_reduce(basis):
         n0, g, n1 = (sum(x * y for x, y in zip(b[i], b[j])) for i, j in ((0, 0), (1, 0), (1, 1)))
         if n0 * n1 == g * g:  # Cauchy-Schwarz equality, a zero row included
             raise ValueError("basis rows are linearly dependent")
-        while True:
-            if 2 * abs(g) > n0:
-                r = (2 * g + n0) // (2 * n0)
-                b[1] = [x - r * y for x, y in zip(b[1], b[0])]
-                n1 += r * (r * n0 - 2 * g)
-                g -= r * n0
-            if 4 * n1 >= 3 * n0:
-                break
-            b[0], b[1] = b[1], b[0]
-            n0, n1 = n1, n0
+        t, exact, stop = (1, 0, 0, 1), False, False  # rows 0, 1 = t times the input's
+        while not stop:
+            s = 0 if exact else max(0, max(n0, n1).bit_length() - _GAUSS_BITS)
+            a0, ag, a1 = n0 >> s, g >> s, n1 >> s
+            x, y, z, w = 1, 0, 0, 1  # m = [[x, y], [z, w]], the steps since the flush
+            # with c_i >= |m_i0| + |m_i1|, the true entries of m G m^T / 2^s lie
+            # within a0 +- c0^2, ag +- c0 c1 and a1 +- c1^2 (exact when s = 0)
+            c0 = c1 = int(s > 0)
+            while a0 > c0 * c0:
+                e0, e01, e1 = c0 * c0, c0 * c1, c1 * c1
+                if 2 * (abs(ag) - e01) > a0 + e0:
+                    r, lo = divmod(2 * ag + a0, 2 * a0)  # lo = 2 ag - (2r - 1) a0
+                    slack = 2 * e01 + (2 * abs(r) + 1) * e0
+                    if lo < slack or 2 * a0 - lo <= slack:
+                        break
+                    a1 += r * (r * a0 - 2 * ag)
+                    ag -= r * a0
+                    z -= r * x
+                    w -= r * y
+                    c1 += abs(r) * c0
+                    e1 = c1 * c1
+                elif 2 * (abs(ag) + e01) > a0 - e0:
+                    break
+                if 4 * (a1 - e1) >= 3 * (a0 + e0):
+                    stop = True
+                    break
+                if 4 * (a1 + e1) >= 3 * (a0 - e0):
+                    break
+                a0, a1, c0, c1, x, y, z, w = a1, a0, c1, c0, z, w, x, y
+                if exact:
+                    break
+            exact = (x, y, z, w) == (1, 0, 0, 1)  # nothing certain: take one exact step next
+            n0, g, n1 = (
+                x * x * n0 + 2 * x * y * g + y * y * n1,
+                x * z * n0 + (x * w + y * z) * g + y * w * n1,
+                z * z * n0 + 2 * z * w * g + w * w * n1,
+            )
+            t = (x * t[0] + y * t[2], x * t[1] + y * t[3], z * t[0] + w * t[2], z * t[1] + w * t[3])
+        b[0], b[1] = (
+            [t[0] * x + t[1] * y for x, y in zip(b[0], b[1])],
+            [t[2] * x + t[3] * y for x, y in zip(b[0], b[1])],
+        )
         d[1], d[2], lam[1][0] = n0, n0 * n1 - g * g, g
         k, k_max = 2, 1
     while k < dim:
@@ -370,7 +415,7 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
                 if c1 == 0 and c2 == 0:
                     continue
                 vsq = c1 * r1[1] + c2 * r2[1]
-                if vsq <= 0:
+                if vsq <= 0 or vsq % 64 not in _SQUARES[64]:
                     continue
                 root = math.isqrt(vsq)
                 if root * root != vsq:

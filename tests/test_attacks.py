@@ -212,10 +212,11 @@ def test_congruence_scan_matches_linear_oracle(n, seed, budget):
     assert fast == slow
 
 
-@settings(deadline=None, max_examples=50)
+@settings(deadline=None)
 @given(
-    s0=st.integers(min_value=0, max_value=1 << 64),
-    step=st.integers(min_value=1, max_value=1 << 64),
+    # past the 510-bit s0 and 386-bit step of an n=128 scan
+    s0=st.integers(min_value=0, max_value=1 << 600),
+    step=st.integers(min_value=1, max_value=1 << 600),
     count=_BLOCK_EDGES | st.integers(min_value=0, max_value=1 << 15),
 )
 @example(s0=0, step=1, count=(1 << 15) + 1)  # two full blocks and one candidate more
@@ -475,6 +476,26 @@ def test_lll_matches_rational_oracle_after_long_k1_phase(rows):
         assert [abs(x) for x in reduced[0]] == [fib[600], fib[601], 0]
 
 
+@settings(deadline=None)
+@given(
+    k=st.integers(min_value=2, max_value=100),
+    shift=st.integers(min_value=0, max_value=1000),
+    offsets=st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
+    sign=st.sampled_from((1, -1)),
+)
+@example(k=600, shift=1000, offsets=(0, 0), sign=1)
+def test_lll_matches_rational_oracle_on_scaled_fibonacci_rows(k, shift, offsets, sign):
+    # F(k+1) and F(k) times 2^shift make the k=1 phase a Euclidean algorithm of
+    # about k swaps on Gram entries of up to 2 shift + 1.4 k bits, so it decides
+    # on their leading bits through several flushes and exact steps
+    fib = [0, 1]
+    while len(fib) < k + 2:
+        fib.append(fib[-1] + fib[-2])
+    s = 1 << shift
+    basis = [[1, 0, s * (fib[k + 1] + offsets[0])], [0, 1, sign * s * (fib[k] + offsets[1])]]
+    assert lll_reduce(basis) == rational_lll(basis)
+
+
 def test_lll_random_bases_postconditions():
     rng = random.Random(2024)
     checked = 0
@@ -551,6 +572,9 @@ def _outcome(reduce, basis):
         return ValueError
 
 
+_S = 1 << 400
+
+
 @settings(deadline=None)
 @given(integer_bases())
 @example([[2, 0], [1, 1]])  # mu = 1/2: not size-reduced
@@ -558,6 +582,15 @@ def _outcome(reduce, basis):
 @example([[-1, 0, 1], [-3, 0, 1], [1, 1, -2]])  # Lovasz test holds with equality
 @example([[2, 0, 0], [1, 1, 1], [0, 0, 5]])  # ... at k=1: 4 |b_1|^2 = 3 |b_0|^2
 @example([[2, 0], [-1, 1]])  # <b_1, b_0> = -|b_0|^2 / 2: no size reduction
+# the same ties with Gram entries of about 800 bits, far wider than the leading
+# bits the k=1 phase decides on: it must fall back to an exact step
+@example([[2 * _S, 0], [_S, _S]])
+@example([[2 * _S, 0], [-_S, _S]])
+@example([[2 * _S, 0, 0], [_S, _S, _S], [0, 0, 5 * _S]])
+# near ties that only the low bits break: the leading bits alone would give
+@example([[2 * _S, 1], [_S, 1]])  # mu = 1/2 where it is just above 1/2
+@example([[2 * _S, 1], [3 * _S, 0]])  # r = 2 where mu is just below 3/2, so r = 1
+@example([[2 * _S, 0, 1], [_S, _S, _S], [0, 0, 5 * _S]])  # no swap where 4 n1 < 3 n0
 def test_lll_matches_rational_oracle(basis):
     # the integral d/lam updates must reproduce the Fraction LLL bit for bit,
     # including which inputs are rejected as dependent
