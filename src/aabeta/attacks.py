@@ -14,8 +14,10 @@ Implements the known attack avenues as falsification harnesses:
 * root-pair factoring -- recover p from gcd(e_a1, V_i + V_j) given all
   four square roots, demonstrating the equivalence with factoring.
 
-Every attack returns an AttackReport rather than raising on failure:
-the verdict is data, and the same inputs give an equal report.
+Root-pair factoring (factor_from_roots) returns (p, q) or raises
+FactoringFailure, and the CLI (cli._cmd_attack) builds its report.
+Every other attack returns an AttackReport rather than raising on
+failure: the verdict is data, and the same inputs give an equal report.
 """
 
 import math
@@ -259,35 +261,30 @@ def lll_reduce(basis):
     """Integral LLL with delta = 3/4 (de Weger 1987; Cohen, Alg. 2.6.7).
 
     d_0 = 1, d_i+1 = |b*_0|^2 ... |b*_i|^2 and lam_ij = d_j+1 * mu_ij stay
-    exact integers. Rows 0 and 1 are first Lagrange-Gauss reduced on
-    n0 = |b_0|^2, g = <b_1, b_0> and n1 = |b_1|^2 alone (the k=1 size
-    reduction and Lovasz test 4 n1 >= 3 n0, since d_0 = 1), which then
-    seed d_1 = n0, d_2 = n0 n1 - g^2 and lam_10 = g; the loop starts at
-    k = 2. That phase decides on the leading _GAUSS_BITS of the Gram
-    entries (Lehmer 1938): with the entries shifted right by s and the
-    steps so far as a unimodular m, c_i >= |m_i0| + |m_i1| bounds the
-    true entries / 2^s to a0 +- c0^2, ag +- c0 c1 and a1 +- c1^2, and
-    a step is taken only when every value in those intervals gives it.
-    The first uncertain step flushes m into the exact entries; when no
-    step was certain, one is taken on the exact entries. Rows 0 and 1
-    are multiplied by the composed transform once, at the end. Later
-    rows' d_i+1 and lam_i* are computed from the current rows when k
-    first reaches i (k_max), so a swap updates lam only for rows
-    k+1..k_max; a dependent row raises ValueError there. Row k is
-    size-reduced against j = k-1 down to 0 when 2|lam_kj| > d_j+1, by
-    r = (2 lam_kj + d_j+1) // (2 d_j+1) = floor(mu_kj + 1/2). The d_k a
-    swap would give, new_dk = (d_k-1 d_k+1 + lam_k,k-1^2) / d_k, is an
-    exact quotient, and rows k-1 and k swap while the Lovasz test
-    4 new_dk >= 3 d_k fails. The output spans the same lattice with
-    |mu_ij| <= 1/2. Meant for small dimensions.
+    exact integers. A Gauss pre-pass first Lagrange-Gauss reduces rows 0 and 1
+    on n0 = |b_0|^2, g = <b_1, b_0> and n1 = |b_1|^2 alone (the k=1 size
+    reduction and Lovasz test 4 n1 >= 3 n0, since d_0 = 1). It decides on the
+    leading _GAUSS_BITS of the Gram entries (Lehmer 1938): with the entries
+    shifted right by s and the steps so far as a unimodular m,
+    c_i >= |m_i0| + |m_i1| bounds the true entries / 2^s to a0 +- c0^2,
+    ag +- c0 c1 and a1 +- c1^2, and a step is taken only when every value in
+    those intervals gives it. The first uncertain step flushes m into the
+    exact entries; when no step was certain, one is taken on the exact
+    entries. Rows 0 and 1 are multiplied by the composed transform once, at
+    the end. One Gram-Schmidt pass then computes d and lam of every row; a
+    dependent row raises ValueError (n0 n1 = g^2 raises before the pre-pass).
+    Integral LLL runs from k = 2: row k is size-reduced against j = k-1 down
+    to 0 when 2|lam_kj| > d_j+1, by r = (2 lam_kj + d_j+1) // (2 d_j+1) =
+    floor(mu_kj + 1/2). The d_k a swap would give,
+    new_dk = (d_k-1 d_k+1 + lam_k,k-1^2) / d_k, is an exact quotient, and
+    rows k-1 and k swap while the Lovasz test 4 new_dk >= 3 d_k fails; a
+    swap updates lam of rows k+1..dim-1. The output spans the same lattice
+    with |mu_ij| <= 1/2. Meant for small dimensions.
     """
     b = [[int(x) for x in row] for row in basis]
     dim = len(b)
     if any(len(row) != len(b[0]) for row in b):
         raise ValueError("rows must have equal length")
-    d = [1] * (dim + 1)
-    lam = [[0] * dim for _ in range(dim)]
-    k, k_max = 0, -1
     if dim >= 2:
         n0, g, n1 = (sum(x * y for x, y in zip(b[i], b[j])) for i, j in ((0, 0), (1, 0), (1, 1)))
         if n0 * n1 == g * g:  # Cauchy-Schwarz equality, a zero row included
@@ -334,24 +331,21 @@ def lll_reduce(basis):
             [t[0] * x + t[1] * y for x, y in zip(b[0], b[1])],
             [t[2] * x + t[3] * y for x, y in zip(b[0], b[1])],
         )
-        d[1], d[2], lam[1][0] = n0, n0 * n1 - g * g, g
-        k, k_max = 2, 1
+    d = [1] * (dim + 1)
+    lam = [[0] * dim for _ in range(dim)]
+    for k in range(dim):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[k][t] * lam[j][t]) // d[t]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("basis rows are linearly dependent")
+            else:
+                d[k + 1] = u
+    k = 2
     while k < dim:
-        if k > k_max:
-            k_max = k
-            for j in range(k + 1):
-                u = sum(x * y for x, y in zip(b[k], b[j]))
-                for t in range(j):
-                    u = (d[t + 1] * u - lam[k][t] * lam[j][t]) // d[t]
-                if j < k:
-                    lam[k][j] = u
-                elif u == 0:
-                    raise ValueError("basis rows are linearly dependent")
-                else:
-                    d[k + 1] = u
-        if k == 0:
-            k = 1
-            continue
         for j in range(k - 1, -1, -1):
             if 2 * abs(lam[k][j]) > d[j + 1]:
                 r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
@@ -368,7 +362,7 @@ def lll_reduce(basis):
         b[k - 1], b[k] = b[k], b[k - 1]
         lam[k - 1], lam[k] = lam[k], lam[k - 1]
         lam[k][k - 1] = lk
-        for i in range(k + 1, k_max + 1):
+        for i in range(k + 1, dim):
             t = lam[i][k]
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
             lam[i][k - 1] = (new_dk * t + lk * lam[i][k]) // d[k + 1]

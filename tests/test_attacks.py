@@ -431,8 +431,9 @@ def test_lll_rejects_single_zero_row():
 
 
 def test_lll_rejects_dependent_row_after_swaps():
-    # rows 0-2 have determinant 1 and need five swaps before k reaches
-    # row 3, their sum, whose Gram-Schmidt data is only computed then
+    # rows 0 and 1 swap in the Gauss pre-pass; row 3, the sum of rows 0-2
+    # (determinant 1), is dependent beyond the first two rows, so the
+    # Gram-Schmidt pass after the pre-pass rejects it
     basis = [[5, 3, 4, 0], [3, 2, 2, 0], [1, 1, 1, 0], [9, 6, 7, 0]]
     with pytest.raises(ValueError):
         lll_reduce(basis)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aabeta import rabin
 from aabeta.cipher import (
@@ -146,6 +148,22 @@ def test_round_trip_uniqueness_and_consistency(n):
         # direct big-integer recomputation of the two-term combination
         e1, e2 = kp.public.e_a1, kp.public.e_a2
         assert enc.ciphertext.c == enc.u * e1 + enc.v * enc.v * e2
+
+
+@st.composite
+def round_trip_cases(draw):
+    n = draw(st.integers(8, 64))
+    payload = draw(st.binary(max_size=capacity_bytes(n)))
+    return n, draw(st.integers(0, 2**32)), payload, draw(st.integers(0, 2**64))
+
+
+@settings(deadline=None)
+@given(round_trip_cases())
+def test_decrypt_inverts_encrypt(case):
+    n, key_seed, payload, ephemeral_seed = case
+    kp = generate_keypair(n, random.Random(key_seed))
+    ct = encrypt(kp.public, encode(payload, n), random.Random(ephemeral_seed))
+    assert decode(decrypt(kp, ct)) == payload
 
 
 @pytest.mark.parametrize("n", [16, 64])

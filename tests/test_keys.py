@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aabeta.errors import InconsistentKey
 from aabeta.keys import (
@@ -129,6 +131,19 @@ def test_key_file_round_trip_beyond_decimal_digit_limit():
     text = format_public_key(pub)
     assert all(line.split(" = ")[1].startswith("0x") for line in text.splitlines())
     assert parse_public_key(text) == pub
+
+
+_KEY_FILE_INT = st.integers(0, 2**20000)  # past the 4300-digit decimal limit
+
+
+@settings(deadline=None)
+@given(_KEY_FILE_INT, _KEY_FILE_INT, _KEY_FILE_INT, _KEY_FILE_INT)
+@example(2**20000, 2**20000 - 1, 10**4300, 0)
+def test_key_files_round_trip_any_size(n, a, b, c):
+    pub = PublicKey(n, a, b)
+    assert parse_public_key(format_public_key(pub)) == pub
+    priv = PrivateKey(a, b, c)
+    assert parse_private_key(format_private_key(priv, n)) == (priv, n)
 
 
 def test_key_file_reference_values():
