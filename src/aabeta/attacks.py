@@ -37,7 +37,6 @@ __all__ = [
     "coppersmith_feasibility",
     "euclid_division_check",
     "build_lattice",
-    "choose_scale",
     "preset_scale",
     "lll_reduce",
     "lattice_attack",
@@ -232,22 +231,6 @@ def build_lattice(pub, ct, scale):
     ]
 
 
-def choose_scale(pub, ct):
-    """Smallest power of two making the target vector competitively short.
-
-    The threshold is (pi*e/2)^(3/2) * 2^(12n) / C; the transcendental
-    constant is over-approximated by 9 so the comparison stays in exact
-    integers.
-    """
-    if ct.c < 1:
-        raise ValueError("ciphertext must be positive")
-    rhs = 9 << (12 * pub.n - 1)
-    k = max(0, rhs.bit_length() - ct.c.bit_length())  # c << k-1 is shorter than rhs
-    if ct.c << k <= rhs:
-        k += 1
-    return 1 << k
-
-
 def preset_scale(n):
     """The 2^(20n) scale used by the reference worked example."""
     return 1 << (20 * n)
@@ -383,15 +366,23 @@ _COEFF_BOUND = 4
 def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     """Reduce the attack lattice and search short vectors for (U, V^2, 0).
 
-    After reduction the rows with zero third coordinate span the
-    sublattice containing the target; the search tries all integer
-    combinations of those rows with coefficients up to +/-_COEFF_BOUND,
-    accepting a vector (U, V^2) that reproduces C and whose
-    (U >> n, V >> n) is a message pair. Supplying the true (U, V) adds
-    known-answer diagnostics (target norm, lattice membership).
+    Reduced rows with third coordinate 0 lie in L0 = {(a, b) : a*e_a1 +
+    b*e_a2 = 0 (mod C)}, which holds the target. L0 has covolume <= C and
+    lambda_1(L0) >= 1, so lambda_2(L0) <= (2/sqrt 3) C (Hermite); any other
+    vector is at least T = scale long. scale="auto" is 2^(bitlen C + 2), so
+    LLL (delta = 3/4; Lenstra, Lenstra & Lovasz 1982) gives the first rows
+    |c_0|, |c_1| <= 2 lambda_2(L) <= 2 lambda_2(L0) < 4C < T: both in L0.
+
+    The search tries all integer combinations of the zero-tail rows with
+    coefficients up to +/-_COEFF_BOUND, accepting a vector (U, V^2) that
+    reproduces C and whose (U >> n, V >> n) is a message pair. Supplying
+    the true (U, V) adds known-answer diagnostics (target norm, lattice
+    membership). A ciphertext below 1 raises ValueError.
     """
+    if ct.c < 1:
+        raise ValueError("ciphertext must be positive")
     n = pub.n
-    scale_int = choose_scale(pub, ct) if scale == "auto" else int(scale)
+    scale_int = 1 << (ct.c.bit_length() + 2) if scale == "auto" else int(scale)
     basis = build_lattice(pub, ct, scale_int)
     reduced = lll_reduce(basis)
     zero_rows = [r for r in reduced if r[2] == 0]
@@ -399,7 +390,6 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
 
     det = ct.c * scale_int
     sigma_log2 = 0.5 * math.log2(3 / (2 * math.pi * math.e)) + math.log2(det) / 3
-    sigma = 2.0**sigma_log2 if sigma_log2 < 1020 else math.inf
 
     found = None
     if len(zero_rows) == 2:
@@ -423,7 +413,6 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     diagnostics = {
         "zero_scale_rows": len(zero_rows),
         "full_scale_rows": len(scale_rows),
-        "sigma": sigma,
         "sigma_log2": sigma_log2,
         "row_norms_log2": tuple(
             round(0.5 * math.log2(sum(x * x for x in row)), 3) for row in reduced

@@ -50,6 +50,16 @@ def _load_keypair(pub_path, priv_path):
     return KeyPair(pub, priv)
 
 
+def _load_usable_keypair(pub_path, priv_path):
+    """_load_keypair plus check_public_key and relaxed validation, as decrypt needs."""
+    kp = _load_keypair(pub_path, priv_path)
+    check_public_key(kp.public)
+    report = validate_keypair(kp, strict=False)
+    if not report.valid:
+        raise InconsistentKey("; ".join(report.violations))
+    return kp
+
+
 def _cmd_keygen(args):
     kp = generate_keypair(args.n, random.Random(args.seed))
     _write_text(args.out_pub, format_public_key(kp.public))
@@ -73,11 +83,7 @@ def _cmd_encrypt(args):
 
 
 def _cmd_decrypt(args):
-    kp = _load_keypair(args.pub, args.priv)
-    check_public_key(kp.public)
-    report = validate_keypair(kp, strict=False)
-    if not report.valid:
-        raise InconsistentKey("; ".join(report.violations))
+    kp = _load_usable_keypair(args.pub, args.priv)
     msg = cipher.decrypt(kp, cipher.parse_ciphertext(_read_text(args.infile)))
     Path(args.out).write_bytes(codec.decode(msg))
     return 0
@@ -137,10 +143,7 @@ def _cmd_attack(args):
     if args.kind == "congruence":
         report = attacks.congruence_bruteforce(pub, need_ct(), args.budget)
     elif args.kind == "coppersmith":
-        d = None
-        if args.priv is not None:
-            priv, _ = parse_private_key(_read_text(args.priv))
-            d = priv.d
+        d = None if args.priv is None else _load_usable_keypair(args.pub, args.priv).private.d
         report = attacks.coppersmith_feasibility(pub, d=d)
     elif args.kind == "euclid":
         if args.known_answer is None:

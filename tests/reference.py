@@ -7,18 +7,19 @@ absolute determinant); `rational_lll` is the textbook LLL over exact
 takes `math.isqrt` of every candidate, the oracle whose report the
 residue-filtered `attacks.congruence_bruteforce` must match;
 `parse_report_text` reads the `key: value` report that
-`aabeta.cli.report_to_text` writes; `linear_choose_scale` raises the
-scale one bit at a time, the oracle of the closed-form
-`attacks.choose_scale`; `jacobi_decrypt_extrabits` computes each root's
-Jacobi symbol, the oracle of `rabin.decrypt_extrabits`, which reads it
-from the root's position;
+`aabeta.cli.report_to_text` writes; `jacobi_decrypt_extrabits` computes
+each root's Jacobi symbol, the oracle of `rabin.decrypt_extrabits`,
+which reads it from the root's position;
 `ciphertext_range` restates the [C_lo, C_hi] bounds that `decrypt`
 checks before any modexp; `unmasked_roots` recomputes its unmasked
 value and four roots from the public primitives, and `accepted_roots`
 restates its window and divisibility filter over those roots.
+`oversized_e_a2_instances` builds weak keys that still decrypt and whose
+ciphertexts the lattice attack recovers.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from aabeta.attacks import (
@@ -27,7 +28,10 @@ from aabeta.attacks import (
     AttackReport,
     congruence_params,
 )
+from aabeta.cipher import encrypt_trace, sample_ephemerals
+from aabeta.codec import capacity_bytes, encode
 from aabeta.errors import InvalidCiphertext
+from aabeta.keys import KeyPair, PublicKey, generate_keypair
 from aabeta.numtheory import four_roots, jacobi, sqrt_mod_p_3mod4
 from aabeta.rabin import decrypt_all
 
@@ -158,17 +162,6 @@ def linear_congruence_scan(pub, ct, j_budget):
     )
 
 
-def linear_choose_scale(pub, ct):
-    """2^k for the smallest k >= 0 with C * 2^k > 9 * 2^(12n-1), found bit by bit."""
-    if ct.c < 1:
-        raise ValueError("ciphertext must be positive")
-    rhs = 9 << (12 * pub.n - 1)
-    k = 0
-    while ct.c << k <= rhs:
-        k += 1
-    return 1 << k
-
-
 def jacobi_decrypt_extrabits(kp, c, parity_bit, jacobi_bit):
     """The single root of c whose parity and (r|N) == 1 match the two bits."""
     matches = [
@@ -223,3 +216,17 @@ def accepted_roots(pub, c, roots):
         if lo < v < hi and u >= 0 and rem == 0:
             out.append((u, v))
     return out
+
+
+def oversized_e_a2_instances(n):
+    """20 seeded keys with e_a2 raised by 2^64*pq, each with a ciphertext and its message.
+
+    e_a2 + 2^64*pq still inverts d mod pq, so each key decrypts.
+    """
+    for seed in range(20):
+        rng = random.Random(f"weak-e2:{n}:{seed}")
+        kp = generate_keypair(n, rng)
+        pub = PublicKey(n, kp.public.e_a1, kp.public.e_a2 + (kp.private.pq << 64))
+        msg = encode(rng.randbytes(rng.randrange(capacity_bytes(n) + 1)), n)
+        ct = encrypt_trace(pub, msg, sample_ephemerals(n, rng)).ciphertext
+        yield KeyPair(pub, kp.private), msg, ct

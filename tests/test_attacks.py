@@ -13,7 +13,6 @@ from aabeta.attacks import (
     VERDICT_NOT_RECOVERED,
     VERDICT_RECOVERED,
     build_lattice,
-    choose_scale,
     congruence_bruteforce,
     congruence_params,
     coppersmith_feasibility,
@@ -26,14 +25,14 @@ from aabeta.attacks import (
 from aabeta.cipher import Ciphertext, decrypt, encrypt_trace, sample_ephemerals
 from aabeta.codec import capacity_bytes, encode
 from aabeta.errors import FactoringFailure, InconsistentKey, InvalidCiphertext
-from aabeta.keys import KeyPair, PublicKey, generate_keypair, validate_keypair
+from aabeta.keys import PublicKey, generate_keypair, validate_keypair
 from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
 import vectors
 from reference import (
     determinant,
-    linear_choose_scale,
     linear_congruence_scan,
+    oversized_e_a2_instances,
     rational_lll,
 )
 
@@ -318,43 +317,6 @@ def test_determinant_small_cases():
     assert determinant([[2, 3, 1], [4, 1, -3], [-1, 2, 2]]) == 10
     with pytest.raises(ValueError):
         determinant([[1, 2, 3], [4, 5, 6]])
-
-
-def test_choose_scale_reference():
-    assert choose_scale(vectors.public_key(), vectors.ciphertext()) == 1 << 81
-
-
-def test_choose_scale_power_of_two_ciphertext():
-    scale = choose_scale(vectors.public_key(), Ciphertext(1 << (12 * 16)))
-    assert scale in (8, 16)
-    assert scale == 8
-
-
-def test_choose_scale_monotone_in_ciphertext():
-    pub = vectors.public_key()
-    prev = None
-    for bits in (100, 120, 140, 160):
-        scale = choose_scale(pub, Ciphertext(1 << bits))
-        if prev is not None:
-            assert scale <= prev
-        prev = scale
-
-
-@settings(deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=300),
-    shift=st.integers(min_value=-8, max_value=12 * 300 + 8),
-    offset=st.integers(min_value=-2, max_value=2),
-)
-@example(n=16, shift=0, offset=0)  # C equal to the threshold: scale 2
-@example(n=16, shift=0, offset=1)
-@example(n=1, shift=-4, offset=-2)
-def test_choose_scale_matches_linear_oracle(n, shift, offset):
-    # C on both sides of 9 * 2^(12n-1) >> shift, where the k+1 step flips
-    rhs = 9 << (12 * n - 1)
-    c = max(1, (rhs >> shift if shift >= 0 else rhs << -shift) + offset)
-    pub, ct = PublicKey(n, 0, 0), Ciphertext(c)
-    assert choose_scale(pub, ct) == linear_choose_scale(pub, ct)
 
 
 def test_preset_scale():
@@ -654,7 +616,8 @@ def test_lattice_attack_reference_not_recovered():
     assert report.diagnostics["solution_in_lattice"] is True
     assert report.diagnostics["zero_scale_rows"] == 2
     assert report.diagnostics["full_scale_rows"] == 1
-    assert report.diagnostics["sigma"] > 0
+    # log2 of sqrt(3 / (2 pi e)) * (C * 2^320)^(1/3), the Gaussian heuristic
+    assert report.diagnostics["sigma_log2"] == pytest.approx(143.32, abs=0.01)
     assert len(report.diagnostics["row_norms_log2"]) == 3
 
 
@@ -669,22 +632,11 @@ def test_lattice_attack_auto_scale_toy():
         ] ** 2 * kp.public.e_a2 == trace.ciphertext.c
 
 
-def _oversized_e_a2_instances(n):
-    """20 seeded keys with e_a2 raised by 2^64*pq, each with a ciphertext and its message."""
-    for seed in range(20):
-        rng = random.Random(f"weak-e2:{n}:{seed}")
-        kp = generate_keypair(n, rng)
-        pub = PublicKey(n, kp.public.e_a1, kp.public.e_a2 + (kp.private.pq << 64))
-        msg = encode(rng.randbytes(rng.randrange(capacity_bytes(n) + 1)), n)
-        ct = encrypt_trace(pub, msg, sample_ephemerals(n, rng)).ciphertext
-        yield KeyPair(pub, kp.private), msg, ct
-
-
 @pytest.mark.parametrize("n", [16, 32])
 def test_lattice_attack_recovers_from_oversized_e_a2(n):
     # e_a2 + 2^64*pq still inverts d mod pq, so the key decrypts, but the
     # larger coefficient makes (U, V^2, 0) short enough for the search to find
-    for weak, msg, ct in _oversized_e_a2_instances(n):
+    for weak, msg, ct in oversized_e_a2_instances(n):
         assert validate_keypair(weak, strict=False).valid
         assert decrypt(weak, ct) == msg
         report = lattice_attack(weak.public, ct, scale=preset_scale(n))
@@ -692,17 +644,50 @@ def test_lattice_attack_recovers_from_oversized_e_a2(n):
         assert (report.recovered["m1"], report.recovered["m2"]) == (msg.m1, msg.m2)
 
 
-@pytest.mark.xfail(
-    raises=AssertionError, strict=True, reason="choose_scale leaves 0-1 zero-tail rows here"
-)
-def test_lattice_attack_auto_scale_recovers_from_oversized_e_a2():
-    # choose_scale gives about 2^35-2^38 on these keys, so the reduced basis
-    # has at most one row with zero third coordinate and the two-row search
-    # never runs; preset_scale(16) recovers all 20 (test above)
-    for weak, msg, ct in _oversized_e_a2_instances(16):
+@pytest.mark.parametrize("n", [16, 32])
+def test_lattice_attack_auto_scale_recovers_from_oversized_e_a2(n):
+    # auto is 2^(bitlen C + 2), so the first two reduced rows have zero third
+    # coordinate on every key and the two-row search always runs; here it
+    # recovers every message, as preset_scale does (test above)
+    for weak, msg, ct in oversized_e_a2_instances(n):
         report = lattice_attack(weak.public, ct)
         assert report.verdict == VERDICT_RECOVERED
         assert (report.recovered["m1"], report.recovered["m2"]) == (msg.m1, msg.m2)
+        assert report.params["scale_log2"] == ct.c.bit_length() + 2
+
+
+@pytest.mark.parametrize("scale", ["auto", 1 << 320])
+@pytest.mark.parametrize("c", [0, -1])
+def test_lattice_attack_rejects_nonpositive_ciphertext(scale, c):
+    with pytest.raises(ValueError, match="ciphertext must be positive"):
+        lattice_attack(vectors.public_key(), Ciphertext(c), scale=scale)
+
+
+@st.composite
+def _auto_scale_lattices(draw):
+    """(e_a1, e_a2, C), each 1-400 bits; half share a factor of up to 200 bits."""
+    factor = draw(st.just(1) | st.integers(2, (1 << draw(st.integers(2, 200))) - 1))
+
+    def term():
+        bits = draw(st.integers(1, 400 - factor.bit_length() + 1))
+        return factor * draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+    return term(), term(), term()
+
+
+@settings(deadline=None)
+@given(_auto_scale_lattices())
+@example((1, 1, 1))
+@example((1, 1, (1 << 400) - 1))
+@example(((1 << 399) + 1, (1 << 399) + 3, 5))
+def test_auto_scale_zero_tail_in_first_two_rows(lattice):
+    # lattice_attack's proof: |c_0|, |c_1| <= 2 lambda_2 < 4C < T, while every
+    # vector with a nonzero third coordinate is at least T long
+    e_a1, e_a2, c = lattice
+    t = 1 << (c.bit_length() + 2)
+    reduced = lll_reduce(build_lattice(PublicKey(8, e_a1, e_a2), Ciphertext(c), t))
+    assert reduced[0][2] == reduced[1][2] == 0
+    assert reduced[2][2] != 0
 
 
 # --- factoring from roots ---

@@ -1,5 +1,6 @@
 import os
 import resource
+import string
 import subprocess
 import sys
 import tempfile
@@ -11,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aabeta
-from aabeta.attacks import euclid_division_check
+from aabeta.attacks import AttackReport, euclid_division_check
+from aabeta.cipher import format_ciphertext
 from aabeta.cli import _ATTACK_KINDS, main, report_to_text
 from aabeta.errors import GenerationFailure
-from aabeta.keys import parse_private_key, parse_public_key
+from aabeta.keys import format_public_key, parse_private_key, parse_public_key, parse_uint
 
 import vectors
-from reference import ciphertext_range, parse_report_text
+from reference import ciphertext_range, oversized_e_a2_instances, parse_report_text
 
 
 def run(*argv):
@@ -225,9 +227,22 @@ def test_attack_lattice_reference(reference_keys, tmp_path):
                "--T", "2^320", "--report", str(report_path)) == 0
     report = parse_report_text(report_path.read_text())
     assert report["verdict"] == "not-recovered"
-    assert "diag.sigma" in report
+    assert float(report["diag.sigma_log2"]) == pytest.approx(143.32, abs=0.01)
     assert "diag.row_norms_log2" in report
     assert report["diag.zero_scale_rows"] == "0x2"
+
+
+def test_attack_lattice_default_scale_recovers_oversized_e_a2(tmp_path, capsys):
+    weak, msg, ct = next(oversized_e_a2_instances(16))
+    pub, ct_path = tmp_path / "pub.txt", tmp_path / "ct.txt"
+    pub.write_text(format_public_key(weak.public))
+    ct_path.write_text(format_ciphertext(ct))
+    assert run("attack", "--kind", "lattice", "--pub", str(pub), "--ct", str(ct_path)) == 0
+    report = parse_report_text(capsys.readouterr().out)
+    assert report["verdict"] == "recovered"
+    assert report["recovered.m1"] == hex(msg.m1)
+    assert report["recovered.m2"] == hex(msg.m2)
+    assert report["param.scale_log2"] == hex(ct.c.bit_length() + 2)
 
 
 @pytest.mark.parametrize("scale", ["2^99999999", "2^513", hex((1 << 512) + 1)],
@@ -295,6 +310,22 @@ def test_attack_coppersmith_with_private_audit(keys16, tmp_path, capsys):
     assert report["diag.d_attack_feasible"] == "False"
 
 
+@pytest.mark.parametrize("other", [("--n", "20", "--seed", "1"), ("--n", "16", "--seed", "2")],
+                         ids=["other-n", "foreign-d"])
+def test_attack_coppersmith_rejects_private_key_of_another_key(keys16, tmp_path, capsys, other):
+    # the audit must not read a d that does not belong to the public key
+    pub, _ = keys16
+    priv = tmp_path / "other-priv.txt"
+    assert run("keygen", *other, "--out-pub", str(tmp_path / "other-pub.txt"),
+               "--out-priv", str(priv)) == 0
+    assert run("validate", "--pub", str(pub), "--priv", str(priv), "--relaxed") == 4
+    assert run("attack", "--kind", "coppersmith", "--pub", str(pub), "--priv", str(priv)) == 4
+    out, err = capsys.readouterr()
+    expected = "key files disagree on n" if other[1] == "20" else "e1-consistency"
+    assert err.count(expected) == 2
+    assert out == ""
+
+
 def test_attack_factor_from_roots_reference(reference_keys, tmp_path, capsys):
     pub, _ = reference_keys
     roots = tmp_path / "roots.txt"
@@ -322,6 +353,44 @@ def test_report_text_round_trip():
     assert parsed["param.n"] == "0x10"
     assert parsed["diag.floor_hits_u"] == "False"
     assert parse_report_text(report_to_text(report, 1.5)) == parsed
+
+
+_REPORT_KEYS = st.text(string.ascii_lowercase + string.digits + "_", min_size=1, max_size=12)
+_VISIBLE = st.text(string.ascii_letters + string.digits + string.punctuation, min_size=1, max_size=8)
+# ints up to 2^64, and 2^k +- up to 2^64 for k < 20000 (4300 decimal digits is about 2^14284)
+_REPORT_INTS = st.integers(0, 1 << 64) | st.builds(
+    lambda k, low: (1 << k) + low, st.integers(64, 19999), st.integers(-(1 << 64), 1 << 64)
+)
+_REPORT_VALUES = (
+    _REPORT_INTS
+    | st.booleans()
+    | st.floats()
+    | st.builds(" ".join, st.lists(_VISIBLE, min_size=1, max_size=3))
+    | st.tuples(st.floats(), st.integers(-(1 << 70), 1 << 70))
+)
+
+
+@settings(deadline=None)
+@given(sections=st.tuples(*[st.dictionaries(_REPORT_KEYS, _REPORT_VALUES, max_size=6)] * 3))
+@example(sections=({"n": 1 << 20000}, {"flag": True, "norms": (1.5, 2.25)}, {"u": 0}))
+def test_report_text_round_trips_every_field(sections):
+    # ints are written in 0x hex, which parse_uint reads at any size
+    params, diagnostics, recovered = sections
+    report = AttackReport("lattice", "recovered", params, diagnostics, recovered)
+    text = report_to_text(report, 0.25)
+    parsed = parse_report_text(text)
+    fields = {
+        f"{name}.{key}": value
+        for name, data in (("param", params), ("diag", diagnostics), ("recovered", recovered))
+        for key, value in data.items()
+    }
+    assert len(text.splitlines()) == 3 + len(fields)
+    assert set(parsed) == {"attack", "verdict", "elapsed_ms", *fields}
+    for key, value in fields.items():
+        if type(value) is int:
+            assert parse_uint(parsed[key]) == value
+        else:
+            assert parsed[key] == str(value)
 
 
 def test_attack_coppersmith_writes_report_integers_in_hex(tmp_path, capsys):
