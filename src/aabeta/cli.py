@@ -32,6 +32,10 @@ from .keys import (
 )
 
 _ATTACK_KINDS = ("congruence", "coppersmith", "euclid", "lattice", "factor-from-roots")
+# The largest --n a generating command takes: 8x the largest size the
+# README uses, far past any size keygen finishes in, and small enough
+# that no 1 << n those commands build can exhaust memory.
+_MAX_N = 1 << 14
 
 
 def _read_text(path):
@@ -99,6 +103,19 @@ def _cmd_validate(args):
     for violation in report.violations:
         print(violation, file=sys.stderr)
     return 4
+
+
+def _parse_n(text):
+    """--n: an integer read by parse_uint, at most _MAX_N, checked before any shift."""
+    n = parse_uint(text)
+    if n > _MAX_N:
+        raise argparse.ArgumentTypeError(f"n must be at most {_MAX_N}")
+    return n
+
+
+def _parse_n_list(text):
+    """--n-list: comma-separated values, each read by _parse_n."""
+    return [_parse_n(x) for x in text.split(",")]
 
 
 def _parse_scale(text, n):
@@ -184,7 +201,7 @@ def _cmd_attack(args):
 def _cmd_bench(args):
     rows = bench.run_bench(
         args.schemes.split(","),
-        [parse_uint(x) for x in args.n_list.split(",")],
+        args.n_list,
         reps=args.reps,
         seed=args.seed,
     )
@@ -263,7 +280,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a key pair")
-    p.add_argument("--n", type=parse_uint, required=True)
+    p.add_argument("--n", type=_parse_n, required=True)
     p.add_argument("--seed", type=parse_uint, default=None)
     p.add_argument("--out-pub", required=True)
     p.add_argument("--out-priv", required=True)
@@ -305,7 +322,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="run the timing harness, emit CSV")
     p.add_argument("--schemes", default=",".join(bench.SCHEMES))
-    p.add_argument("--n-list", default="64,128")
+    p.add_argument("--n-list", type=_parse_n_list, default="64,128")
     p.add_argument("--reps", type=parse_uint, default=5)
     p.add_argument("--seed", type=parse_uint, default=0)
     p.add_argument("--out")
@@ -315,7 +332,7 @@ def build_parser():
     rsub = p.add_subparsers(dest="rabin_command", required=True)
 
     rp = rsub.add_parser("keygen")
-    rp.add_argument("--n", type=parse_uint, required=True)
+    rp.add_argument("--n", type=_parse_n, required=True)
     rp.add_argument("--seed", type=parse_uint, default=None)
     rp.add_argument("--out-pub", required=True)
     rp.add_argument("--out-priv", required=True)
@@ -340,7 +357,7 @@ def build_parser():
     rp = rsub.add_parser("ambiguity")
     rp.add_argument("--l", type=parse_uint, default=8)
     rp.add_argument("--trials", type=parse_uint, default=20_000)
-    rp.add_argument("--n", type=parse_uint, default=16)
+    rp.add_argument("--n", type=_parse_n, default=16)
     rp.add_argument("--seed", type=parse_uint, default=0)
     rp.set_defaults(handler=_cmd_rabin_ambiguity)
 

@@ -1,13 +1,15 @@
 """Arbitrary-precision number-theory kernel.
 
-Exact integer arithmetic only: Baillie-PSW primality (trial division,
-a strong base-2 test and a strong Lucas test), prime generation in the
-3 (mod 4) residue class, square roots modulo primes p = 3 (mod 4), the
-four CRT square roots modulo p*q and Jacobi symbols. Modular powers,
-inverses and integer square roots are the builtins pow(a, e, m),
-pow(a, -1, m) and math.isqrt.
+Exact integer arithmetic only: Baillie-PSW primality (a gcd screen with
+the primes below 2^11 and one with those in (2^11, 2^14), a strong
+base-2 test and a strong Lucas test computed in Z_n[x]/(x^2 - x + Q)),
+prime generation in the 3 (mod 4) residue class, square roots modulo
+primes p = 3 (mod 4), the four CRT square roots modulo p*q and Jacobi
+symbols. Modular powers, inverses and integer square roots are the
+builtins pow(a, e, m), pow(a, -1, m) and math.isqrt.
 """
 
+import itertools
 import math
 
 from .errors import GenerationFailure, NonResidueError
@@ -27,10 +29,18 @@ def _sieve(bound):
     for i in range(2, math.isqrt(bound) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(bound) if flags[i]]
+    return flags
 
 
-_SMALL_PRIMES = _sieve(1 << 11)
+def _primorial(lo, hi):
+    """Product of the odd primes in (lo, hi) for even lo, taken 64 primes at a time."""
+    primes = list(itertools.compress(range(lo + 1, hi, 2), _PRIME_FLAGS[lo + 1 : hi : 2]))
+    return math.prod(math.prod(primes[i : i + 64]) for i in range(0, len(primes), 64))
+
+
+_PRIME_FLAGS = _sieve(1 << 14)  # _PRIME_FLAGS[i] is 1 exactly when i is prime
+_SMALL_PRODUCT = _primorial(2, 1 << 11)
+_DEEP_PRODUCT = _primorial(1 << 11, 1 << 14)
 
 # gen_prime_3mod4 gives up after this many candidates per bit of size.
 _TRIES_PER_BIT = 100
@@ -71,7 +81,8 @@ def _strong_lucas(n):
     """Strong Lucas test with Selfridge's D in 5, -7, 9, ..., P = 1, Q = (1 - D)/4.
 
     n passes when U_d or some V_(d*2^r), r < s, is 0 mod n, where n + 1 = d*2^s.
-    For odd n with no prime factor below 2^11; a square or (D|n) = 0 is composite.
+    The powers x^k = a + b*x of x in Z_n[x]/(x^2 - x + Q) give U_k = b and
+    V_k = 2a + b. For odd n; a square or (D|n) = 0 is composite.
     """
     if math.isqrt(n) ** 2 == n:
         return False
@@ -81,34 +92,37 @@ def _strong_lucas(n):
             return False
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
-    half = (n + 1) // 2  # the inverse of 2 mod n
     s = ((n + 1) & -(n + 1)).bit_length() - 1
-    u, v, qk = 1, 1, Q % n  # U_k, V_k, Q^k for k = 1, then k runs over the bits of (n+1) >> s
+    a, b = 0, 1  # x^k for k = 1, then k runs over the bits of (n+1) >> s
     for bit in bin((n + 1) >> s)[3:]:
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        aa = a * a
+        a, b = (aa - Q * b * b) % n, ((a + b) ** 2 - aa) % n  # x^(2k)
         if bit == "1":
-            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+            a, b = -Q * b % n, (a + b) % n  # x^(k+1)
+    if b == 0:  # U_d
+        return True
     for _ in range(s):
-        if v == 0:
+        if (2 * a + b) % n == 0:  # V_(d*2^r) for r = 0, 1, ..., s - 1
             return True
-        v, qk = (v * v - 2 * qk) % n, qk * qk % n
-    return u == 0
+        aa = a * a
+        a, b = (aa - Q * b * b) % n, ((a + b) ** 2 - aa) % n
+    return False
 
 
 def is_probable_prime(n):
-    """Baillie-PSW: trial division below 2^11, then strong base-2 and strong Lucas tests.
+    """Baillie-PSW: gcds with the primes below 2^14, then strong base-2 and Lucas tests.
 
-    Deterministic (Baillie & Wagstaff 1980); exact below 2^64, and no
-    composite is known to pass it.
+    The gcd with the odd primes below 2^11 decides every n below 2053^2,
+    2053 being the least prime above 2^11. Deterministic (Baillie &
+    Wagstaff 1980); exact below 2^64, and no composite is known to pass it.
     """
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return n == p
-    return _strong_base2(n) and _strong_lucas(n)
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n < len(_PRIME_FLAGS) and bool(_PRIME_FLAGS[n])
+    if n < 2053 * 2053:
+        return True
+    return math.gcd(n, _DEEP_PRODUCT) == 1 and _strong_base2(n) and _strong_lucas(n)
 
 
 def gen_prime_3mod4(n, rng):

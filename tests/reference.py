@@ -15,7 +15,9 @@ checks before any modexp; `unmasked_roots` recomputes its unmasked
 value and four roots from the public primitives, and `accepted_roots`
 restates its window and divisibility filter over those roots.
 `oversized_e_a2_instances` builds weak keys that still decrypt and whose
-ciphertexts the lattice attack recovers.
+ciphertexts the lattice attack recovers. `reference_strong_lucas` runs
+the strong Lucas test on the U/V/Q^k recurrences, the oracle of the
+ring-form `numtheory._strong_lucas`.
 """
 
 import math
@@ -230,3 +232,31 @@ def oversized_e_a2_instances(n):
         msg = encode(rng.randbytes(rng.randrange(capacity_bytes(n) + 1)), n)
         ct = encrypt_trace(pub, msg, sample_ephemerals(n, rng)).ciphertext
         yield KeyPair(pub, kp.private), msg, ct
+
+
+def reference_strong_lucas(n):
+    """Strong Lucas test on the U_k, V_k, Q^k recurrences, Selfridge's D, P = 1.
+
+    n passes when U_d or some V_(d*2^r), r < s, is 0 mod n, where
+    n + 1 = d*2^s. For odd n; a square or (D|n) = 0 is composite.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    u, v, qk = 1, 1, Q % n  # U_k, V_k, Q^k for k = 1, then k runs over the bits of (n+1) >> s
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return u == 0

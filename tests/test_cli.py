@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import aabeta
 from aabeta.attacks import AttackReport, euclid_division_check
 from aabeta.cipher import format_ciphertext
-from aabeta.cli import _ATTACK_KINDS, main, report_to_text
+from aabeta.cli import _ATTACK_KINDS, _MAX_N, build_parser, main, report_to_text
 from aabeta.errors import GenerationFailure
 from aabeta.keys import format_public_key, parse_private_key, parse_public_key, parse_uint
 
@@ -661,6 +661,49 @@ def test_claimed_sizes_build_no_power_of_two(keys16, rabin_files, tmp_path, argv
     assert time.perf_counter() - t0 < 1.0
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("keygen", "--n", "{n}", "--out-pub", "{out}", "--out-priv", "{out}"),
+        ("rabin", "keygen", "--n", "{n}", "--out-pub", "{out}", "--out-priv", "{out}"),
+        ("rabin", "ambiguity", "--n", "{n}", "--trials", "1"),
+        ("bench", "--schemes", "aabeta", "--n-list", "16,{n}"),
+    ],
+    ids=["keygen", "rabin-keygen", "rabin-ambiguity", "bench"],
+)
+@pytest.mark.parametrize("n", [1 << 40, _MAX_N + 1], ids=["2^40", "bound+1"])
+def test_generation_sizes_above_the_bound_exit_2(tmp_path, argv, n):
+    # Without the bound, n = 2^40 dies in 1 << (n - 2) with a MemoryError traceback.
+    src = str(Path(aabeta.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "aabeta.cli",
+         *(arg.format(n=hex(n), out=tmp_path / "out") for arg in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert "Traceback" not in proc.stderr
+    assert f"n must be at most {_MAX_N}" in proc.stderr
+    assert proc.returncode == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_generation_size_bound_is_inclusive():
+    assert _MAX_N >= 2048  # the largest size the README and tests use
+    bound = str(_MAX_N)
+    parser = build_parser()
+    outs = ["--out-pub", "p", "--out-priv", "q"]
+    assert parser.parse_args(["keygen", "--n", bound, *outs]).n == _MAX_N
+    assert parser.parse_args(["rabin", "keygen", "--n", bound, *outs]).n == _MAX_N
+    assert parser.parse_args(["rabin", "ambiguity", "--n", bound]).n == _MAX_N
+    assert parser.parse_args(["bench", "--n-list", f"16,{bound}"]).n_list == [16, _MAX_N]
 
 
 def exit_code(*argv):

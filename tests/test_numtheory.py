@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aabeta.errors import GenerationFailure, NonResidueError
 from aabeta.numtheory import (
@@ -15,6 +17,7 @@ from aabeta.numtheory import (
 )
 
 import vectors
+from reference import reference_strong_lucas
 
 
 def _trial_division_is_prime(n):
@@ -65,13 +68,30 @@ def test_is_probable_prime_agrees_with_sieve_below_one_million():
         assert is_probable_prime(n) == bool(flags[n]), n
 
 
+def test_is_probable_prime_agrees_with_sieve_around_2053_squared():
+    # Below 2053^2 the gcd with the odd primes below 2^11 decides alone;
+    # from 2053^2 on, a number coprime to them goes on to the 2^14 gcd and BPSW.
+    square = 2053 * 2053
+    lo, hi = square - 20_000, square + 20_000
+    flags = bytearray([1]) * (hi - lo)
+    for d in range(2, math.isqrt(hi) + 1):  # every d < lo, so d itself is never crossed out
+        flags[-lo % d :: d] = bytearray(len(range(-lo % d, hi - lo, d)))
+    assert not flags[square - lo]
+    for n in range(lo, hi):
+        assert is_probable_prime(n) == bool(flags[n - lo]), n
+
+
 def test_is_probable_prime_beyond_small_prime_bound():
     assert is_probable_prime((1 << 31) - 1)  # Mersenne prime
-    assert not is_probable_prime(2053 * 2063)  # no factor below the trial bound
+    # no factor below 2^11, so the gcd with the primes in (2^11, 2^14) rejects it
+    assert not is_probable_prime(2053 * 2063)
     assert is_probable_prime((1 << 89) - 1)  # Mersenne prime above 2^64
     assert not is_probable_prime(((1 << 61) - 1) * ((1 << 31) - 1))
 
 
+# 2047 = 23 * 89 and 3215031751 = 151 * 751 * 28351 fall to the gcd with the
+# primes below 2^11; 3825123056546413051 has smallest factor 149491 > 2^14, so
+# is_probable_prime reaches the Lucas step on it, and that step rejects it.
 @pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051])
 def test_strong_base2_pseudoprimes_fail_lucas(n):
     assert _strong_base2(n)
@@ -79,8 +99,10 @@ def test_strong_base2_pseudoprimes_fail_lucas(n):
     assert not is_probable_prime(n)
 
 
-# 5450201 = 2089 * 2609 has no factor below the trial-division bound
-@pytest.mark.parametrize("n", [5459, 5777, 10877, 5450201])
+# 5450201 = 2089 * 2609 has no factor below 2^11 and falls to the gcd with the
+# primes in (2^11, 2^14). 540136277 = 16433 * 32869 and 2424052399 = 16411 * 147709
+# have no factor below 2^14, so is_probable_prime runs _strong_base2 on them.
+@pytest.mark.parametrize("n", [5459, 5777, 10877, 5450201, 540136277, 2424052399])
 def test_strong_lucas_pseudoprimes_fail_base2(n):
     assert _strong_lucas(n)
     assert not _strong_base2(n)
@@ -88,14 +110,50 @@ def test_strong_lucas_pseudoprimes_fail_base2(n):
 
 
 def test_prime_squares_beyond_trial_division_rejected():
+    # 2053^2 and 3511^2 fall to the gcd with the primes in (2^11, 2^14)
     assert not is_probable_prime(2053 * 2053)
     # 3511 is a Wieferich prime, so 3511^2 passes base 2 and the Lucas
-    # half must reject it
+    # half rejects it on its own
     assert _strong_base2(3511 * 3511)
+    assert not _strong_lucas(3511 * 3511)
     assert not is_probable_prime(3511 * 3511)
     # every D has (D|p^2) = 1 for a prime p above all tried D, so without
     # the square check the search for D would not end
     assert not _strong_lucas(((1 << 61) - 1) ** 2)
+
+
+def _next_prime(k):
+    k |= 1
+    while not is_probable_prime(k):
+        k += 2
+    return k
+
+
+def _odd_of_bit_length(lo, hi):
+    """Odd integers whose bit length is drawn uniformly from [lo, hi]."""
+    return st.integers(lo, hi).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)).map(
+        lambda k: k | 1
+    )
+
+
+_ODD_BELOW_2_600 = _odd_of_bit_length(2, 600)
+# p*q with both primes above 2^14, the composites that reach the Lucas step
+_SEMIPRIMES = st.tuples(_odd_of_bit_length(15, 300), _odd_of_bit_length(15, 299)).map(
+    lambda pair: _next_prime(pair[0]) * _next_prime(pair[1])
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(_ODD_BELOW_2_600, _SEMIPRIMES))
+@example(5459)
+@example(5777)
+@example(10877)
+@example(5450201)
+@example(3511 * 3511)
+@example(540136277)
+@example(((1 << 61) - 1) ** 2)
+def test_strong_lucas_matches_recurrence_oracle(n):
+    assert _strong_lucas(n) == reference_strong_lucas(n)
 
 
 def test_gen_prime_3mod4_smallest_size():
