@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from aabeta.cipher import (
     sample_ephemerals,
 )
 from aabeta.codec import EncodedMessage, capacity_bytes, decode, encode
-from aabeta.errors import InvalidCiphertext, ParameterViolation
+from aabeta.errors import CryptoError, InvalidCiphertext, ParameterViolation
 from aabeta.keys import KeyPair, PrivateKey, PublicKey, generate_keypair
 
 import vectors
@@ -59,6 +60,37 @@ def test_reference_root_identities():
     assert vectors.C16 * vectors.D16 % vectors.PQ16 == vectors.W16
     for root in vectors.ROOTS16:
         assert root * root % vectors.PQ16 == vectors.W16
+
+
+# SHA-256 of one hex line per seeded round trip: n, seed, C, m1, m2, then the
+# outcome of decrypting C+1 and C with one seeded bit flipped. A change meant
+# to move decryption outputs updates this value in the same commit and says why.
+_SEEDED_DECRYPT_SHA256 = "cc5d0dc5785866f337025dc01e1364e3f102e5ef1855eddf0f4a8424791734a1"
+
+
+def _outcome(kp, c):
+    """The message pair in hex, or the class name of the CryptoError decrypt raises."""
+    try:
+        msg = decrypt(kp, Ciphertext(c))
+    except CryptoError as exc:
+        return type(exc).__name__
+    return f"{msg.m1:x},{msg.m2:x}"
+
+
+def test_seeded_decrypt_digest():
+    h = hashlib.sha256()
+    for n in (16, 64, 256):
+        for seed in range(20):
+            rng = random.Random(seed)
+            kp = generate_keypair(n, rng)
+            payload = rng.randbytes(rng.randrange(capacity_bytes(n) + 1))
+            c = encrypt(kp.public, encode(payload, n), rng).c
+            msg = decrypt(kp, Ciphertext(c))
+            assert decode(msg) == payload
+            flipped = c ^ 1 << rng.randrange(c.bit_length())
+            tampered = f"{_outcome(kp, c + 1)},{_outcome(kp, flipped)}"
+            h.update(f"{n:x},{seed:x},{c:x},{msg.m1:x},{msg.m2:x},{tampered}\n".encode())
+    assert h.hexdigest() == _SEEDED_DECRYPT_SHA256
 
 
 def test_tampered_ciphertext_rejected():
