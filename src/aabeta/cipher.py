@@ -7,17 +7,19 @@ Encryption blinds the message pair with fresh session values:
     C = U*e_a1 + V^2*e_a2
 
 using only multiplication and addition on public values. Decryption
-recovers W = V^2 mod p*q through the private exponent, takes the four
-square roots of W with rabin.decrypt_all, and accepts the single root
-that divides the ciphertext equation exactly while staying inside the
-V window; the session values fall away under floor division by 2^n.
+recovers W = V^2 mod p*q through the private exponent, lifts a root of
+W mod p to +-V mod p^2 (C = V^2*e_a2 mod p^2, as e_a1 = p^2*q) and keeps
+the candidate in the V window that divides the ciphertext equation; the
+session values fall away under floor division by 2^n.
 """
 
+import math
 from dataclasses import dataclass
 
 from .codec import EncodedMessage
-from .errors import InvalidCiphertext, ParameterViolation
+from .errors import InvalidCiphertext, NonResidueError, ParameterViolation
 from .keys import parse_uint
+from .numtheory import sqrt_mod_p_3mod4
 from .rabin import RabinKeyPair, decrypt_all
 
 __all__ = [
@@ -84,12 +86,14 @@ def decrypt(kp, ct):
 
     Raises InvalidCiphertext before any modexp when C is outside the range
     the V window and the m1 range allow, and when the unmasked value
-    W = C*d mod p*q has no square root. Exactly one of the four roots of W
-    may pass the V window and divide the ciphertext equation: zero
-    candidates, or one whose (U >> n, V >> n) lies outside the message
-    ranges, means the ciphertext is not a valid encryption under this key
-    (InvalidCiphertext); two or more means the key itself violates the
-    uniqueness window (ParameterViolation).
+    W = C*d mod p*q has no square root mod p. A Newton step lifts that root
+    x to x1 = +-V mod p^2, and the candidates are x1 and p^2 - x1; unless
+    gcd(x, p) = 1 and p*min(p, q) > 2^(2n-1) (every window V below p^2 and
+    p*q), they are the four roots of W from rabin.decrypt_all. Exactly one
+    may pass the V window and divide the ciphertext equation: zero, or one
+    whose (U >> n, V >> n) lies outside the message ranges, means the
+    ciphertext is not a valid encryption under this key (InvalidCiphertext);
+    two or more means the key breaks the uniqueness window (ParameterViolation).
     """
     pub, priv = kp.public, kp.private
     n = pub.n
@@ -100,8 +104,18 @@ def decrypt(kp, ct):
     c_hi = ((1 << 4 * n + 1) - 1) * pub.e_a1 + (v_hi - 1) ** 2 * pub.e_a2
     if not c_lo <= c <= c_hi:
         raise InvalidCiphertext("ciphertext outside the range of the public key")
-    pq = priv.pq
-    roots = decrypt_all(RabinKeyPair(pq, priv.p, priv.q), c * priv.d % pq)
+    p, q, pq = priv.p, priv.q, priv.pq
+    w = c * priv.d % pq
+    try:
+        x = sqrt_mod_p_3mod4(w % p, p)
+    except NonResidueError as exc:
+        raise InvalidCiphertext("value is not a quadratic residue mod p") from exc
+    if p * min(p, q) > v_hi and math.gcd(x, p) == 1:
+        pp = p * p  # Newton on e_a2*V^2 - C mod p^2, with d = e_a2^-1 (mod p)
+        t = (pub.e_a2 * x * x - c) % pp // p * priv.d * pow(2 * x, -1, p) % p
+        roots = ((x - p * t) % pp, (p * t - x) % pp)
+    else:
+        roots = decrypt_all(RabinKeyPair(pq, p, q), w)
     accepted = []
     # dict.fromkeys collapses duplicate roots (x_p or x_q zero)
     for v in dict.fromkeys(roots):

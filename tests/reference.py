@@ -17,7 +17,9 @@ restates its window and divisibility filter over those roots.
 `oversized_e_a2_instances` builds weak keys that still decrypt and whose
 ciphertexts the lattice attack recovers. `reference_strong_lucas` runs
 the strong Lucas test on the U/V/Q^k recurrences, the oracle of the
-ring-form `numtheory._strong_lucas`.
+ring-form `numtheory._strong_lucas`. `reference_decrypt` is the
+four-root decryption (both square roots, CRT combine, then the filters),
+the oracle of `cipher.decrypt`, which lifts one root mod p to p^2.
 """
 
 import math
@@ -31,11 +33,11 @@ from aabeta.attacks import (
     congruence_params,
 )
 from aabeta.cipher import encrypt_trace, sample_ephemerals
-from aabeta.codec import capacity_bytes, encode
-from aabeta.errors import InvalidCiphertext
+from aabeta.codec import EncodedMessage, capacity_bytes, encode
+from aabeta.errors import InvalidCiphertext, ParameterViolation
 from aabeta.keys import KeyPair, PublicKey, generate_keypair
 from aabeta.numtheory import four_roots, jacobi, sqrt_mod_p_3mod4
-from aabeta.rabin import decrypt_all
+from aabeta.rabin import RabinKeyPair, decrypt_all
 
 
 def determinant(rows):
@@ -260,3 +262,45 @@ def reference_strong_lucas(n):
             return True
         v, qk = (v * v - 2 * qk) % n, qk * qk % n
     return u == 0
+
+
+def reference_decrypt(kp, ct):
+    """Decryption through all four square roots of W = C*d mod p*q.
+
+    Same range check, filters and errors as `cipher.decrypt`: the roots
+    come from rabin.decrypt_all, and exactly one may pass the V window and
+    divide the ciphertext equation.
+    """
+    pub, priv = kp.public, kp.private
+    n = pub.n
+    c = ct.c
+    v_lo = 1 << (2 * n - 2)
+    v_hi = 1 << (2 * n - 1)
+    c_lo = (((1 << 3 * n) + 1) << n) * pub.e_a1 + (v_lo + 1) ** 2 * pub.e_a2
+    c_hi = ((1 << 4 * n + 1) - 1) * pub.e_a1 + (v_hi - 1) ** 2 * pub.e_a2
+    if not c_lo <= c <= c_hi:
+        raise InvalidCiphertext("ciphertext outside the range of the public key")
+    pq = priv.pq
+    roots = decrypt_all(RabinKeyPair(pq, priv.p, priv.q), c * priv.d % pq)
+    accepted = []
+    # dict.fromkeys collapses duplicate roots (x_p or x_q zero)
+    for v in dict.fromkeys(roots):
+        if not v_lo < v < v_hi:
+            continue
+        num = c - v * v * pub.e_a2
+        if num < 0 or num % pub.e_a1:
+            continue
+        accepted.append((num // pub.e_a1, v))
+    if len(accepted) > 1:
+        raise ParameterViolation(
+            f"{len(accepted)} candidates accepted; key breaks uniqueness"
+        )
+    if not accepted:
+        raise InvalidCiphertext("no candidate root satisfies the ciphertext equation")
+    [(u, v)] = accepted
+    try:
+        return EncodedMessage(u >> n, v >> n, n)
+    except ValueError as exc:
+        raise InvalidCiphertext(
+            "the accepted root gives a message outside the message ranges"
+        ) from exc

@@ -1,11 +1,12 @@
 import hashlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aabeta import rabin
+from aabeta import cipher, rabin
 from aabeta.cipher import (
     Ciphertext,
     EphemeralPair,
@@ -18,10 +19,11 @@ from aabeta.cipher import (
 )
 from aabeta.codec import EncodedMessage, capacity_bytes, decode, encode
 from aabeta.errors import CryptoError, InvalidCiphertext, ParameterViolation
-from aabeta.keys import KeyPair, PrivateKey, PublicKey, generate_keypair
+from aabeta.keys import KeyPair, PrivateKey, PublicKey, generate_keypair, validate_keypair
+from aabeta.numtheory import is_probable_prime, jacobi, sqrt_mod_p_3mod4
 
 import vectors
-from reference import accepted_roots, ciphertext_range, unmasked_roots
+from reference import accepted_roots, ciphertext_range, reference_decrypt, unmasked_roots
 
 
 def test_reference_encryption_intermediates():
@@ -120,6 +122,7 @@ def test_out_of_range_ciphertexts_rejected_before_any_root(monkeypatch):
         raise AssertionError("square root taken for an out-of-range ciphertext")
 
     monkeypatch.setattr(rabin, "sqrt_mod_p_3mod4", no_root)  # decrypt_all's root step
+    monkeypatch.setattr(cipher, "sqrt_mod_p_3mod4", no_root)  # decrypt's own root step
     for kp in (vectors.keypair(), generate_keypair(16, random.Random(3))):
         c_lo, c_hi = ciphertext_range(kp.public)
         huge = random.Random(6).getrandbits(10**6) | 1 << 10**6 - 1
@@ -216,7 +219,145 @@ def test_out_of_range_message_rejected(n):
     assert isinstance(info.value.__cause__, ValueError)
 
 
-def test_double_acceptance_raises_parameter_violation():
+def _count_four_root_calls(monkeypatch):
+    """Route decrypt's four-root fallback through a counter; returns the tally list."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return rabin.decrypt_all(*args)
+
+    monkeypatch.setattr(cipher, "decrypt_all", counted)
+    return calls
+
+
+def _outcome_pair(kp, c):
+    """What decrypt and the four-root reference each return or raise for C."""
+    out = []
+    for fn in (decrypt, reference_decrypt):
+        try:
+            out.append(fn(kp, Ciphertext(c)))
+        except Exception as exc:  # the class is the outcome
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_honest_decrypt_takes_one_square_root(monkeypatch, n):
+    calls = _count_four_root_calls(monkeypatch)
+    roots = []
+
+    def counted_root(w, p):
+        roots.append(p)
+        return rabin.sqrt_mod_p_3mod4(w, p)
+
+    monkeypatch.setattr(cipher, "sqrt_mod_p_3mod4", counted_root)
+    rng = random.Random(f"one-root:{n}")
+    kp = generate_keypair(n, rng)
+    for _ in range(10):
+        msg = encode(rng.randbytes(rng.randrange(capacity_bytes(n) + 1)), n)
+        assert decrypt(kp, encrypt(kp.public, msg, rng)) == msg
+    assert calls == []
+    assert roots == [kp.private.p] * 10
+
+
+def test_root_divisible_by_p_decrypts_through_four_roots(monkeypatch):
+    # V = p*k leaves x = 0 (mod p), which no Newton step can lift
+    n = 16
+    kp = generate_keypair(n, random.Random(7))
+    p = kp.private.p
+    first = ((1 << 2 * n - 2) // p + 1) * p
+    v = next(
+        v
+        for v in range(first, 1 << 2 * n - 1, p)
+        if v >> n > 1 << n - 2 and v & (1 << n) - 1 > 1 << n - 1
+    )
+    msg = EncodedMessage(encode(b"p | V", n).m1, v >> n, n)
+    ct = encrypt_trace(kp.public, msg, EphemeralPair((1 << n - 1) + 1, v & (1 << n) - 1))
+    assert ct.v == v and v % p == 0
+    calls = _count_four_root_calls(monkeypatch)
+    assert decrypt(kp, ct.ciphertext) == msg
+    assert calls == [1]
+
+
+def test_residue_mod_p_only_is_rejected_after_one_root(monkeypatch):
+    # C+delta whose W is a square mod p but not mod q: the lifted roots
+    # cannot divide the equation mod q
+    kp = vectors.keypair()
+    p, q = kp.private.p, kp.private.q
+    c = next(
+        c
+        for c in range(vectors.C16 + 1, vectors.C16 + 1000)
+        if jacobi(c * kp.private.d, p) == 1 and jacobi(c * kp.private.d, q) == -1
+    )
+    calls = _count_four_root_calls(monkeypatch)
+    assert _outcome_pair(kp, c) == [InvalidCiphertext] * 2
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "p, q, decrypts",
+    [
+        (11, 2999, True),  # p^2 < 2^(2n-1) < p*q: the window root is one of W's four
+        (263, 7, False),  # p*q < 2^(2n-1) < p^2: no root of W reaches the window
+    ],
+)
+def test_small_factor_keys_decrypt_as_the_four_root_path(monkeypatch, p, q, decrypts):
+    # relaxed-valid keys (e_a2 = d = 1) outside the honest sizes, where
+    # p*min(p, q) <= 2^(2n-1) sends decrypt to the four-root path
+    n = 8
+    kp = KeyPair(PublicKey(n, p * p * q, 1), PrivateKey(p, q, 1))
+    calls = _count_four_root_calls(monkeypatch)
+    rng = random.Random(f"small:{p}:{q}")
+    decrypted = 0
+    for _ in range(10):
+        msg = encode(rng.randbytes(rng.randrange(capacity_bytes(n) + 1)), n)
+        got, want = _outcome_pair(kp, encrypt(kp.public, msg, rng).c)
+        assert got == want
+        decrypted += got == msg
+    assert len(calls) == 10
+    # with p = 11 a second window root also divides now and then (ParameterViolation)
+    assert (decrypted > 0) is decrypts
+
+
+def test_composite_p_root_sharing_a_factor_is_rejected_not_a_value_error():
+    # a relaxed-valid key (e_a2 = d = 1) on p = 3r with r = 1 (mod 4): for
+    # W = 0 (mod 3) and W = 1 (mod r), x = W^((p+1)/4) passes x^2 = W (mod p)
+    # with gcd(x, p) = 3, so 2x has no inverse mod p
+    n = 16
+    r = next(r for r in range(21849, 43690, 4) if is_probable_prime(r))
+    p, q = 3 * r, vectors.Q16
+    assert p * min(p, q) > 1 << 2 * n - 1  # the size guard alone would take one root
+    kp = KeyPair(PublicKey(n, p * p * q, 1), PrivateKey(p, q, 1))
+    assert validate_keypair(kp, strict=False).valid
+    c_lo, _ = ciphertext_range(kp.public)
+    w = next(w for w in range(1, p, r) if w % 3 == 0)
+    c = c_lo + (w - c_lo) % p
+    assert math.gcd(sqrt_mod_p_3mod4(c % p, p), p) == 3
+    assert _outcome_pair(kp, c) == [InvalidCiphertext] * 2
+
+
+@st.composite
+def tampered_cases(draw):
+    n = draw(st.integers(8, 64))
+    payload = draw(st.binary(max_size=capacity_bytes(n)))
+    seeds = draw(st.integers(0, 2**32)), draw(st.integers(0, 2**64))
+    delta = draw(st.integers(-8, 8).filter(bool))
+    return n, payload, seeds, delta, draw(st.integers(0, 7 * n + 3))
+
+
+@settings(deadline=None)
+@given(tampered_cases())
+def test_decrypt_matches_four_root_reference(case):
+    n, payload, (key_seed, ephemeral_seed), delta, bit = case
+    kp = generate_keypair(n, random.Random(key_seed))
+    c = encrypt(kp.public, encode(payload, n), random.Random(ephemeral_seed)).c
+    for tampered in (c, c + delta, c ^ 1 << bit):
+        got, want = _outcome_pair(kp, tampered)
+        assert got == want, (n, key_seed, ephemeral_seed, tampered)
+
+
+def test_double_acceptance_raises_parameter_violation(monkeypatch):
     # crafted key material outside the honest parameter ranges: with
     # e_a2 = d = 1 the pair is algebraically consistent, and the two
     # window roots 264, 385 of 253 mod 649 differ by a multiple of
@@ -230,8 +371,11 @@ def test_double_acceptance_raises_parameter_violation():
     kp = KeyPair(PublicKey(n, e_a1, 1), PrivateKey(p, q, 1))
     # U = m1*2^n + k1 with m1 and k1 in range, so C passes the range check
     u = (((1 << 3 * n) + 100) << n) + (1 << n - 1) + 1
+    # p^2 lies below the V window (and p divides both roots): four roots it is
+    calls = _count_four_root_calls(monkeypatch)
     with pytest.raises(ParameterViolation):
         decrypt(kp, Ciphertext(u * e_a1 + v_a * v_a))
+    assert calls == [1]
     # with U = 100 the same pair lies below C_lo: rejected before any root
     with pytest.raises(InvalidCiphertext):
         decrypt(kp, Ciphertext(100 * e_a1 + v_a * v_a))

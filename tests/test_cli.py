@@ -130,6 +130,26 @@ def test_reference_vector_via_fixed_ephemerals(reference_keys, tmp_path):
     assert ct.read_text().strip() == hex(vectors.C16)
 
 
+def test_n2048_known_answer_vector(tmp_path):
+    # the largest size README uses: strict validation, the known-answer
+    # encryption and decryption, all through the CLI
+    pub, priv = tmp_path / "pub.txt", tmp_path / "priv.txt"
+    pub.write_text(f"n = 2048\neA1 = {vectors.E_A1_2048:#x}\neA2 = {vectors.E_A2_2048:#x}\n")
+    priv.write_text(f"n = 2048\np = {vectors.P2048:#x}\nq = {vectors.Q2048:#x}\n"
+                    f"d = {vectors.D2048:#x}\n")
+    assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 0
+    ka = tmp_path / "ka.txt"
+    ka.write_text(f"m1 = {vectors.M1_2048:#x}\nm2 = {vectors.M2_2048:#x}\n"
+                  f"k1 = {vectors.K1_2048:#x}\nk2 = {vectors.K2_2048:#x}\n")
+    ct, out = tmp_path / "ct.txt", tmp_path / "out.bin"
+    assert run("encrypt", "--pub", str(pub), "--out", str(ct),
+               "--insecure-known-answer", str(ka)) == 0
+    assert ct.read_text() == f"{vectors.C2048:#x}\n"
+    assert run("decrypt", "--pub", str(pub), "--priv", str(priv),
+               "--in", str(ct), "--out", str(out)) == 0
+    assert out.read_bytes() == vectors.PAYLOAD_2048
+
+
 def test_fixed_ephemerals_require_gate(reference_keys, tmp_path):
     # the record is the only way in: the old flags, --in mixed with the record,
     # and neither of the two all stop in argparse
