@@ -21,6 +21,7 @@ from .errors import (
 from .keys import (
     KeyPair,
     check_public_key,
+    format_fields,
     format_private_key,
     format_public_key,
     generate_keypair,
@@ -118,17 +119,6 @@ def _parse_n_list(text):
     return [_parse_n(x) for x in text.split(",")]
 
 
-def _parse_scale(text, n):
-    """--T: `auto`, `2^k` or an integer, at most 2^(32n); k is clamped before the shift."""
-    if text == "auto":
-        return "auto"
-    cap = 32 * n
-    scale = 1 << min(parse_uint(text[2:]), cap + 1) if text[:2] == "2^" else parse_uint(text)
-    if scale > 1 << cap:
-        raise ValueError(f"--T must be at most 2^{cap} (2^(32n))")
-    return scale
-
-
 def report_to_text(report, elapsed_ms):
     """Line-oriented `key: value` serialization of a report; ints are written in 0x hex."""
     lines = [
@@ -171,13 +161,7 @@ def _cmd_attack(args):
         ka = {}
         if args.known_answer is not None:
             ka = parse_fields(_read_text(args.known_answer), ("u", "v"))
-        report = attacks.lattice_attack(
-            pub,
-            need_ct(),
-            scale=_parse_scale(args.T, pub.n),
-            u_true=ka.get("u"),
-            v_true=ka.get("v"),
-        )
+        report = attacks.lattice_attack(pub, need_ct(), u_true=ka.get("u"), v_true=ka.get("v"))
     else:  # factor-from-roots
         if args.roots is None:
             raise ValueError("--roots is required for --kind factor-from-roots")
@@ -215,6 +199,7 @@ def _cmd_bench(args):
 
 _RABIN_PUB_FIELDS = ("n", "N")
 _RABIN_PRIV_FIELDS = ("n", "p", "q")
+_EXTRABITS_FIELDS = ("c", "parity", "jacobi")
 
 
 def _rabin_payload_to_int(data):
@@ -231,8 +216,8 @@ def _rabin_int_to_payload(m):
 
 def _cmd_rabin_keygen(args):
     kp = rabin.keygen(args.n, random.Random(args.seed))
-    _write_text(args.out_pub, f"n = {args.n:#x}\nN = {kp.N:#x}\n")
-    _write_text(args.out_priv, f"n = {args.n:#x}\np = {kp.p:#x}\nq = {kp.q:#x}\n")
+    _write_text(args.out_pub, format_fields(zip(_RABIN_PUB_FIELDS, (args.n, kp.N))))
+    _write_text(args.out_priv, format_fields(zip(_RABIN_PRIV_FIELDS, (args.n, kp.p, kp.q))))
     return 0
 
 
@@ -243,8 +228,8 @@ def _cmd_rabin_encrypt(args):
         c = rabin.encrypt_redundant(pub["N"], m, args.l)
         _write_text(args.out, cipher.format_ciphertext(cipher.Ciphertext(c)))
     else:
-        c, parity, jac = rabin.encrypt_extrabits(pub["N"], m)
-        _write_text(args.out, f"c = {c:#x}\nparity = {parity:#x}\njacobi = {jac:#x}\n")
+        record = zip(_EXTRABITS_FIELDS, rabin.encrypt_extrabits(pub["N"], m))
+        _write_text(args.out, format_fields(record))
     return 0
 
 
@@ -261,8 +246,8 @@ def _cmd_rabin_decrypt(args):
             raise CryptoError(f"ambiguous decryption: roots {result.roots}")
         payload = result
     else:
-        fields = parse_fields(_read_text(args.infile), ("c", "parity", "jacobi"))
-        payload = rabin.decrypt_extrabits(kp, fields["c"], fields["parity"], fields["jacobi"])
+        fields = parse_fields(_read_text(args.infile), _EXTRABITS_FIELDS)
+        payload = rabin.decrypt_extrabits(kp, *(fields[f] for f in _EXTRABITS_FIELDS))
     Path(args.out).write_bytes(_rabin_int_to_payload(payload))
     return 0
 
@@ -314,7 +299,6 @@ def build_parser():
     p.add_argument("--ct")
     p.add_argument("--priv")
     p.add_argument("--budget", type=parse_uint, default=100_000)
-    p.add_argument("--T", default="auto")
     p.add_argument("--report")
     p.add_argument("--known-answer")
     p.add_argument("--roots")

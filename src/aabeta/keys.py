@@ -24,6 +24,7 @@ __all__ = [
     "check_public_key",
     "parse_uint",
     "parse_fields",
+    "format_fields",
     "format_public_key",
     "parse_public_key",
     "format_private_key",
@@ -196,8 +197,13 @@ def parse_fields(text, expected):
     return values
 
 
+def format_fields(pairs):
+    """One `name = 0x...` line per (name, value) pair, the record parse_fields reads."""
+    return "".join(f"{name} = {value:#x}\n" for name, value in pairs)
+
+
 def format_public_key(pub):
-    return f"n = {pub.n:#x}\neA1 = {pub.e_a1:#x}\neA2 = {pub.e_a2:#x}\n"
+    return format_fields(zip(_PUBLIC_FIELDS, (pub.n, pub.e_a1, pub.e_a2)))
 
 
 def parse_public_key(text):
@@ -206,7 +212,7 @@ def parse_public_key(text):
 
 
 def format_private_key(priv, n):
-    return f"n = {n:#x}\np = {priv.p:#x}\nq = {priv.q:#x}\nd = {priv.d:#x}\n"
+    return format_fields(zip(_PRIVATE_FIELDS, (n, priv.p, priv.q, priv.d)))
 
 
 def parse_private_key(text):

@@ -80,7 +80,7 @@ def encrypt(n_modulus, m):
 def decrypt_all(kp, c):
     """All four square roots of c modulo N, via CRT."""
     if not 0 <= c < kp.N:
-        raise ValueError("ciphertext must lie in [0, N)")
+        raise InvalidCiphertext("ciphertext must lie in [0, N)")
     try:
         x_p = sqrt_mod_p_3mod4(c % kp.p, kp.p)
         x_q = sqrt_mod_p_3mod4(c % kp.q, kp.q)

@@ -26,7 +26,7 @@ from aabeta.attacks import (
 from aabeta.cipher import Ciphertext, decrypt, encrypt_trace, sample_ephemerals
 from aabeta.codec import capacity_bytes, encode
 from aabeta.errors import FactoringFailure, InconsistentKey, InvalidCiphertext
-from aabeta.keys import PublicKey, generate_keypair, validate_keypair
+from aabeta.keys import KeyPair, PublicKey, generate_keypair, validate_keypair
 from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
 import vectors
@@ -38,9 +38,13 @@ from reference import (
 )
 
 
-def _random_instance(n, seed):
-    rng = random.Random(f"atk:{n}:{seed}")
+def _random_instance(n, seed, tag="atk", shift=None):
+    """Seeded key pair and encryption; e_a2 is raised by 2^shift*pq unless shift is None."""
+    rng = random.Random(f"{tag}:{n}:{seed}")
     kp = generate_keypair(n, rng)
+    if shift is not None:
+        pub = PublicKey(n, kp.public.e_a1, kp.public.e_a2 + (kp.private.pq << shift))
+        kp = KeyPair(pub, kp.private)
     payload = rng.randbytes(rng.randrange(capacity_bytes(n) + 1))
     trace = encrypt_trace(kp.public, encode(payload, n), sample_ephemerals(n, rng))
     return kp, trace
@@ -761,21 +765,6 @@ _SEEDED_ATTACK_REPORTS_SHA256 = "7b14224d91285b9510ff9ef821ea683cac4221c0bdfd71d
 _SEEDED_LLL_SHA256 = "129b3881902d964d6da01099c55c0ff9ed1db480b5396d445df0e82c4f564154"
 
 
-def _digest_instance(tag, n, seed, shift=None):
-    """Seeded key and ciphertext, with e_a2 raised by 2^shift*pq unless shift is None.
-
-    Returns the public key, the ciphertext and its (U, V).
-    """
-    rng = random.Random(f"{tag}:{n}:{seed}")
-    kp = generate_keypair(n, rng)
-    pub = kp.public
-    if shift is not None:
-        pub = PublicKey(n, pub.e_a1, pub.e_a2 + (kp.private.pq << shift))
-    payload = rng.randbytes(rng.randrange(capacity_bytes(n) + 1))
-    trace = encrypt_trace(pub, encode(payload, n), sample_ephemerals(n, rng))
-    return pub, trace.ciphertext, trace.u, trace.v
-
-
 def _canonical(value):
     """A report value as digest text: ints in hex, floats to 9 significant digits."""
     if type(value) is int:
@@ -804,10 +793,11 @@ def test_seeded_attack_reports_digest():
     for n in (16, 32, 64, 128):
         for seed in range(10):
             # odd seeds get keys whose ciphertexts auto recovers and preset_scale misses
-            pub, ct, u, v = _digest_instance("digest", n, seed, 20 * n if seed % 2 else None)
+            kp, trace = _random_instance(n, seed, "digest", 20 * n if seed % 2 else None)
+            pub, ct = kp.public, trace.ciphertext
             values = [n, seed, ct.c]
             for scale in ("auto", preset_scale(n)):
-                report = lattice_attack(pub, ct, scale, u, v)
+                report = lattice_attack(pub, ct, scale, trace.u, trace.v)
                 values += [report.params["scale_log2"], *_report_values(report, *lattice)]
             values += _report_values(congruence_bruteforce(pub, ct, 1 << 12), *congruence)
             h.update((",".join(map(_canonical, values)) + "\n").encode())
@@ -819,8 +809,9 @@ def test_seeded_lll_reduce_digest():
     # about equally long, so a reduction's last Lovasz tests are close calls
     h = hashlib.sha256()
     for seed in range(12):
-        pub, ct, _, _ = _digest_instance("lll", 128, seed, 2 * 128 + 2)
+        kp, trace = _random_instance(128, seed, "lll", 2 * 128 + 2)
+        ct = trace.ciphertext
         for scale in (1 << ct.c.bit_length() + 2, preset_scale(128)):
-            for row in lll_reduce(build_lattice(pub, ct, scale)):
+            for row in lll_reduce(build_lattice(kp.public, ct, scale)):
                 h.update((",".join(map(_canonical, row)) + "\n").encode())
     assert h.hexdigest() == _SEEDED_LLL_SHA256

@@ -1,4 +1,7 @@
+import functools
 import os
+import random
+import re
 import resource
 import string
 import subprocess
@@ -12,14 +15,39 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aabeta
+from aabeta import rabin
 from aabeta.attacks import AttackReport, euclid_division_check
-from aabeta.cipher import format_ciphertext
+from aabeta.cipher import (
+    Ciphertext,
+    encrypt_trace,
+    format_ciphertext,
+    parse_ciphertext,
+    sample_ephemerals,
+)
 from aabeta.cli import _ATTACK_KINDS, _MAX_N, build_parser, main, report_to_text
+from aabeta.codec import encode
 from aabeta.errors import GenerationFailure
-from aabeta.keys import format_public_key, parse_private_key, parse_public_key, parse_uint
+from aabeta.keys import (
+    KeyPair,
+    PrivateKey,
+    PublicKey,
+    format_fields,
+    format_private_key,
+    format_public_key,
+    generate_keypair,
+    parse_fields,
+    parse_private_key,
+    parse_public_key,
+    parse_uint,
+)
 
 import vectors
-from reference import ciphertext_range, oversized_e_a2_instances, parse_report_text
+from reference import (
+    ciphertext_range,
+    oversized_e_a2_instances,
+    parse_report_text,
+    unmasked_roots,
+)
 
 
 def run(*argv):
@@ -244,12 +272,14 @@ def test_attack_lattice_reference(reference_keys, tmp_path):
     ct.write_text(f"{vectors.C16}\n")
     report_path = tmp_path / "report.txt"
     assert run("attack", "--kind", "lattice", "--pub", str(pub), "--ct", str(ct),
-               "--T", "2^320", "--report", str(report_path)) == 0
+               "--report", str(report_path)) == 0
     report = parse_report_text(report_path.read_text())
     assert report["verdict"] == "not-recovered"
-    assert float(report["diag.sigma_log2"]) == pytest.approx(143.32, abs=0.01)
+    assert report["param.scale_log2"] == hex(vectors.C16.bit_length() + 2) == "0x74"
+    assert float(report["diag.sigma_log2"]) == pytest.approx(75.32, abs=0.01)
     assert "diag.row_norms_log2" in report
     assert report["diag.zero_scale_rows"] == "0x2"
+    assert report["diag.full_scale_rows"] == "0x1"
 
 
 def test_attack_lattice_default_scale_recovers_oversized_e_a2(tmp_path, capsys):
@@ -265,15 +295,16 @@ def test_attack_lattice_default_scale_recovers_oversized_e_a2(tmp_path, capsys):
     assert report["param.scale_log2"] == hex(ct.c.bit_length() + 2)
 
 
-@pytest.mark.parametrize("scale", ["2^99999999", "2^513", hex((1 << 512) + 1)],
-                         ids=["2^99999999", "2^513", "int-above-cap"])
+@pytest.mark.parametrize("scale", ["2^99999999"])
 def test_attack_lattice_scale_above_cap_exits_2(reference_keys, tmp_path, scale):
+    # --T and its 2^(32n) cap are gone: the lattice attack always runs at
+    # 2^(bitlen C + 2), and --T is an unrecognized argument
     pub, _ = reference_keys
     ct = tmp_path / "ct.txt"
     ct.write_text(f"{vectors.C16}\n")
     t0 = time.perf_counter()
-    assert run("attack", "--kind", "lattice", "--pub", str(pub), "--ct", str(ct),
-               "--T", scale) == 2  # cap is 2^(32n) = 2^512 at n = 16
+    assert exit_code("attack", "--kind", "lattice", "--pub", str(pub), "--ct", str(ct),
+                     "--T", scale) == 2
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -283,7 +314,7 @@ def test_attack_lattice_scale_above_cap_exits_2(reference_keys, tmp_path, scale)
         (100_000_000, ["encrypt"]),
         (100_000_000, ["attack", "--kind", "congruence"]),
         (100_000_000, ["attack", "--kind", "coppersmith"]),
-        (100_000_000, ["attack", "--kind", "lattice", "--T", "2^99999999"]),
+        (100_000_000, ["attack", "--kind", "lattice"]),
         (16, ["attack", "--kind", "coppersmith"]),
     ],
     ids=["encrypt", "congruence", "coppersmith", "lattice-T", "coppersmith-n16"],
@@ -604,6 +635,38 @@ def test_rabin_decrypt_inconsistent_key_exits_4(tmp_path, scheme, bad_p):
     assert run(*decrypt) == 4
 
 
+@pytest.mark.parametrize("scheme", ["redundant", "extrabits"])
+def test_rabin_decrypt_ciphertext_not_below_modulus_exits_4(tmp_path, capsys, scheme):
+    pub, priv, ct = (tmp_path / name for name in ("rpub.txt", "rpriv.txt", "rct.txt"))
+    assert run("rabin", "keygen", "--n", "24", "--seed", "5",
+               "--out-pub", str(pub), "--out-priv", str(priv)) == 0
+    c = parse_fields(pub.read_text(), ("n", "N"))["N"] + 5
+    if scheme == "redundant":
+        ct.write_text(format_ciphertext(Ciphertext(c)))
+    else:
+        ct.write_text(format_fields([("c", c), ("parity", 1), ("jacobi", 1)]))
+    assert run("rabin", "decrypt", "--priv", str(priv), "--in", str(ct),
+               "--out", str(tmp_path / "o"), "--scheme", scheme) == 4
+    assert "ciphertext must lie in [0, N)" in capsys.readouterr().err
+
+
+def test_strict_validate_rejects_a_key_sized_strong_pseudoprime(tmp_path, capsys):
+    # 90751 = 151 * 601 is the only strong base-2 pseudoprime = 3 (mod 4) in
+    # (2^16, 2^17); the key on it is otherwise consistent and in range
+    n, p, q = 16, 90751, 65539
+    assert p % 4 == 3 and pow(2, (p - 1) // 2, p) in (1, p - 1)
+    pq = p * q
+    d = pq - 2
+    e_a2 = pow(d, -1, pq) + pq * ((1 << 3 * n + 4) // pq + 1)
+    kp = KeyPair(PublicKey(n, p * p * q, e_a2), PrivateKey(p, q, d))
+    pub, priv = tmp_path / "pub.txt", tmp_path / "priv.txt"
+    pub.write_text(format_public_key(kp.public))
+    priv.write_text(format_private_key(kp.private, n))
+    assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 4
+    assert capsys.readouterr().err == "p-prime: p is not prime\n"
+    assert run("validate", "--pub", str(pub), "--priv", str(priv), "--relaxed") == 0
+
+
 def test_key_files_disagreeing_on_n_exit_4(keys16, tmp_path, capsys):
     pub, priv = keys16
     priv.write_text(priv.read_text().replace("n = 0x10", "n = 0x11"))
@@ -737,22 +800,16 @@ def exit_code(*argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("attack", "--kind", "lattice", "--pub", "{pub}", "--ct", "{ct}", "--T", "2^٣٢"),
         ("keygen", "--n", "١٦", "--out-pub", "{out}", "--out-priv", "{out}"),
         ("rabin", "ambiguity", "--trials", "1_0"),
         ("rabin", "ambiguity", "--l", "+8", "--trials", "10"),
         ("bench", "--schemes", "rabin", "--n-list", " 16"),
         ("keygen", "--n", "16", "--seed", "-4", "--out-pub", "{out}", "--out-priv", "{out}"),
     ],
-    ids=["T-non-ascii", "n-non-ascii", "trials-underscore", "l-plus", "n-list-space",
-         "seed-negative"],
+    ids=["n-non-ascii", "trials-underscore", "l-plus", "n-list-space", "seed-negative"],
 )
-def test_numeric_options_use_the_integer_grammar(argv, reference_keys, tmp_path):
-    pub, _ = reference_keys
-    ct = tmp_path / "ct.txt"
-    ct.write_text(f"{vectors.C16}\n")
-    paths = {"pub": str(pub), "ct": str(ct), "out": str(tmp_path / "out")}
-    assert exit_code(*(arg.format(**paths) for arg in argv)) == 2
+def test_numeric_options_use_the_integer_grammar(argv, tmp_path):
+    assert exit_code(*(arg.format(out=tmp_path / "out") for arg in argv)) == 2
 
 
 def test_key_files_accept_hex_values(keys16, tmp_path):
@@ -824,3 +881,113 @@ def test_cli_input_files_end_in_a_documented_exit_code(command, n, key, values):
         paths["payload"].write_bytes(b"hi")
         options = (arg.format(**paths) for arg in command[1:])
         assert run(command[0], "--pub", str(paths["pub"]), *options) in (0, 2, 4, 5)
+
+
+# Every record file the CLI reads, by name: its fields, or None for a ciphertext.
+_RECORD_FIELDS = {
+    "pub": ("n", "eA1", "eA2"),
+    "priv": ("n", "p", "q", "d"),
+    "ct": None,
+    "record": ("m1", "m2", "k1", "k2"),
+    "ka": ("u", "v"),
+    "roots": ("v1", "v2", "v3", "v4"),
+    "rpub": ("n", "N"),
+    "rpriv": ("n", "p", "q"),
+    "rct": None,
+    "rct_ext": ("c", "parity", "jacobi"),
+}
+_MUTATION_COMMANDS = (
+    ("encrypt", "--pub", "{pub}", "--in", "{payload}", "--out", "{out}", "--seed", "0"),
+    ("encrypt", "--pub", "{pub}", "--insecure-known-answer", "{record}", "--out", "{out}"),
+    ("decrypt", "--pub", "{pub}", "--priv", "{priv}", "--in", "{ct}", "--out", "{out}"),
+    ("validate", "--pub", "{pub}", "--priv", "{priv}"),
+    ("validate", "--pub", "{pub}", "--priv", "{priv}", "--relaxed"),
+    ("attack", "--kind", "congruence", "--pub", "{pub}", "--ct", "{ct}", "--budget", "64"),
+    ("attack", "--kind", "coppersmith", "--pub", "{pub}", "--priv", "{priv}"),
+    ("attack", "--kind", "euclid", "--pub", "{pub}", "--ct", "{ct}", "--known-answer", "{ka}"),
+    ("attack", "--kind", "lattice", "--pub", "{pub}", "--ct", "{ct}", "--known-answer", "{ka}"),
+    ("attack", "--kind", "factor-from-roots", "--pub", "{pub}", "--roots", "{roots}"),
+    *(
+        ("rabin", "encrypt", "--pub", "{rpub}", "--in", "{payload}", "--out", "{out}",
+         "--scheme", scheme)
+        for scheme in ("redundant", "extrabits")
+    ),
+    ("rabin", "decrypt", "--priv", "{rpriv}", "--in", "{rct}", "--out", "{out}",
+     "--scheme", "redundant"),
+    ("rabin", "decrypt", "--priv", "{rpriv}", "--in", "{rct_ext}", "--out", "{out}",
+     "--scheme", "extrabits"),
+)
+# (command, the one input file it reads that gets mutated)
+_MUTATION_TARGETS = [
+    (argv, name)
+    for argv in _MUTATION_COMMANDS
+    for name in re.findall(r"{(\w+)}", " ".join(argv))
+    if name in _RECORD_FIELDS
+]
+
+
+@functools.cache
+def _valid_record_files():
+    """Each file of _RECORD_FIELDS for a seeded n=16 key pair and an n=24 Rabin key, as bytes."""
+    rng = random.Random(0)
+    kp = generate_keypair(16, rng)
+    msg = encode(b"hi", 16)
+    eph = sample_ephemerals(16, rng)
+    trace = encrypt_trace(kp.public, msg, eph)
+    rkp = rabin.keygen(24, rng)
+    m = int.from_bytes(b"\x01ab", "big")  # the payload "ab" after the CLI's sentinel byte
+    values = {
+        "pub": (16, kp.public.e_a1, kp.public.e_a2),
+        "priv": (16, kp.private.p, kp.private.q, kp.private.d),
+        "record": (msg.m1, msg.m2, eph.k1, eph.k2),
+        "ka": (trace.u, trace.v),
+        "roots": unmasked_roots(kp, trace.ciphertext.c)[1],
+        "rpub": (24, rkp.N),
+        "rpriv": (24, rkp.p, rkp.q),
+        "rct_ext": rabin.encrypt_extrabits(rkp.N, m),
+    }
+    files = {name: format_fields(zip(_RECORD_FIELDS[name], v)) for name, v in values.items()}
+    files["ct"] = format_ciphertext(trace.ciphertext)
+    files["rct"] = format_ciphertext(Ciphertext(rabin.encrypt_redundant(rkp.N, m, 8)))
+    return {name: text.encode() for name, text in files.items()}
+
+
+def _reads_as_record(name, path):
+    """Whether the CLI's reader and parser for this file accept it."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        if _RECORD_FIELDS[name] is None:
+            parse_ciphertext(text)
+        else:
+            parse_fields(text, _RECORD_FIELDS[name])
+    except ValueError:  # UnicodeDecodeError included
+        return False
+    return True
+
+
+@settings(deadline=None)
+@given(target=st.sampled_from(_MUTATION_TARGETS), data=st.data())
+def test_mutated_input_files_end_in_a_documented_exit_code(target, data):
+    argv, name = target
+    files = _valid_record_files()
+    lines = files[name].splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[i]
+    mutation = data.draw(st.sampled_from(("insert", "digits", "duplicate", "truncate")))
+    if mutation == "insert":
+        at = data.draw(st.integers(0, len(line)), label="at")
+        lines[i] = line[:at] + data.draw(st.sampled_from((b"\x00", b"\xff\xfe", b"\r"))) + line[at:]
+    elif mutation == "digits":  # the value becomes 5,000 decimal digits
+        lines[i] = b"".join(line.rpartition(b"= ")[:2]) + b"9" * 5000 + b"\n"
+    elif mutation == "duplicate":
+        lines.insert(i, line)
+    else:
+        lines[i] = line[: data.draw(st.integers(0, len(line) - 2), label="keep")] + b"\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: Path(tmp, key) for key in (*files, "payload", "out")}
+        for key, content in files.items():
+            paths[key].write_bytes(content)
+        paths[name].write_bytes(b"".join(lines))
+        paths["payload"].write_bytes(b"ab")
+        code = run(*(arg.format(**paths) for arg in argv))
+        assert code in ((0, 2, 4, 5) if _reads_as_record(name, paths[name]) else (2, 4, 5))

@@ -61,6 +61,12 @@ def test_decrypt_all_non_residue():
         rabin.decrypt_all(kp, 3)
 
 
+@pytest.mark.parametrize("c", [-1, 77, 77 + 4])
+def test_decrypt_all_rejects_ciphertexts_outside_the_modulus(c):
+    with pytest.raises(InvalidCiphertext, match=r"\[0, N\)"):
+        rabin.decrypt_all(rabin.RabinKeyPair(77, 7, 11), c)
+
+
 def test_root_pairs_sum_to_zero_mod_n():
     rng = random.Random(4)
     for _ in range(50):
