@@ -84,10 +84,12 @@ def congruence_params(pub, ct):
     return CongruenceParams(a, b, 1 << (n - 6), 3 << (n - 7))
 
 
-def _message_fields(u, v, n):
-    """Report fields of a solution (U, V), or None unless it carries a message pair."""
+def _solution(pub, c, u, v):
+    """Report fields of (U, V) if U*e_a1 + V^2*e_a2 = C and carries a message pair, else None."""
+    if u * pub.e_a1 + v * v * pub.e_a2 != c:
+        return None
     try:
-        msg = EncodedMessage(u >> n, v >> n, n)
+        msg = EncodedMessage(u >> pub.n, v >> pub.n, pub.n)
     except ValueError:
         return None
     return {"u": u, "v": v, "m1": msg.m1, "m2": msg.m2}
@@ -130,7 +132,7 @@ def congruence_bruteforce(pub, ct, j_budget):
     ciphertexts the report, "scanned" (candidates covered) too, is a linear scan's.
     """
     par = congruence_params(pub, ct)
-    n, e_a1, e_a2, c = pub.n, pub.e_a1, pub.e_a2, ct.c
+    n, e_a1, e_a2 = pub.n, pub.e_a1, pub.e_a2
     v_lo = (1 << (2 * n - 2)) + 1
     v_hi = (1 << (2 * n - 1)) - 1
     s_min, s_max = v_lo * v_lo, v_hi * v_hi
@@ -143,11 +145,9 @@ def congruence_bruteforce(pub, ct, j_budget):
     for t in _square_candidates(s0, e_a1, scanned):
         s = s0 - e_a1 * t
         r = math.isqrt(s)
-        if r * r == s:
-            u = par.a + e_a2 * (j_lo + t)
-            if u * e_a1 + s * e_a2 == c and (found := _message_fields(u, r, n)):
-                scanned = t + 1
-                break
+        if r * r == s and (found := _solution(pub, ct.c, par.a + e_a2 * (j_lo + t), r)):
+            scanned = t + 1
+            break
     diagnostics = {
         "window_u": par.window_u,
         "window_v": par.window_v,
@@ -383,8 +383,7 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
         raise ValueError("ciphertext must be positive")
     n = pub.n
     scale_int = 1 << (ct.c.bit_length() + 2) if scale == "auto" else int(scale)
-    basis = build_lattice(pub, ct, scale_int)
-    reduced = lll_reduce(basis)
+    reduced = lll_reduce(build_lattice(pub, ct, scale_int))
     zero_rows = [r for r in reduced if r[2] == 0]
     scale_rows = [r for r in reduced if abs(r[2]) == scale_int]
 
@@ -402,10 +401,7 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
                 if vsq <= 0 or vsq % 64 not in _SQUARES[64]:
                     continue
                 root = math.isqrt(vsq)
-                if root * root != vsq:
-                    continue
-                u = c1 * r1[0] + c2 * r2[0]
-                if u * pub.e_a1 + vsq * pub.e_a2 == ct.c and (found := _message_fields(u, root, n)):
+                if root * root == vsq and (found := _solution(pub, ct.c, c1 * r1[0] + c2 * r2[0], root)):
                     break
             if found:
                 break
@@ -420,11 +416,8 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     }
     if u_true is not None and v_true is not None:
         diagnostics["solution_norm"] = _nearest_isqrt(u_true**2 + v_true**4)
-        target = [u_true, v_true * v_true, 1]
-        image = [
-            sum(target[i] * basis[i][j] for i in range(3)) for j in range(3)
-        ]
-        diagnostics["solution_in_lattice"] = image == [u_true, v_true * v_true, 0]
+        # (U, V^2, 1) times the basis is (U, V^2, (U*e_a1 + V^2*e_a2 - C)*scale)
+        diagnostics["solution_in_lattice"] = u_true * pub.e_a1 + v_true**2 * pub.e_a2 == ct.c
     return AttackReport(
         attack="lattice",
         verdict=VERDICT_RECOVERED if found else VERDICT_NOT_RECOVERED,

@@ -51,7 +51,7 @@ def _load_keypair(pub_path, priv_path):
     pub = parse_public_key(_read_text(pub_path))
     priv, n_priv = parse_private_key(_read_text(priv_path))
     if n_priv != pub.n:
-        raise InconsistentKey(f"key files disagree on n: {pub.n} vs {n_priv}")
+        raise InconsistentKey(f"key files disagree on n: {pub.n:#x} vs {n_priv:#x}")
     return KeyPair(pub, priv)
 
 
@@ -235,6 +235,9 @@ def _cmd_rabin_encrypt(args):
 
 def _cmd_rabin_decrypt(args):
     priv = parse_fields(_read_text(args.priv), _RABIN_PRIV_FIELDS)
+    # rabin keygen writes p, q in (2^n, 2^(n+1)); this bounds every pow below
+    if priv["n"] > _MAX_N or max(priv["p"], priv["q"]).bit_length() > priv["n"] + 1:
+        raise InconsistentKey(f"Rabin key too large: n above {_MAX_N}, or p or q above n+1 bits")
     try:
         kp = rabin.RabinKeyPair(priv["p"] * priv["q"], priv["p"], priv["q"])
     except ValueError as exc:
@@ -243,7 +246,7 @@ def _cmd_rabin_decrypt(args):
         c = cipher.parse_ciphertext(_read_text(args.infile)).c
         result = rabin.decrypt_redundant(kp, c, args.l)
         if isinstance(result, rabin.AmbiguityReport):
-            raise CryptoError(f"ambiguous decryption: roots {result.roots}")
+            raise CryptoError(f"ambiguous decryption: {len(result.roots)} roots carry the tag")
         payload = result
     else:
         fields = parse_fields(_read_text(args.infile), _EXTRABITS_FIELDS)

@@ -99,8 +99,8 @@ def validate_keypair(kp, strict=True):
 
     Relaxed mode (strict=False) checks only algebraic consistency:
     e_a1 = p^2*q, e_a2*d = 1 (mod p*q), coprime public coefficients,
-    and p = q = 3 (mod 4). Strict mode adds primality and every range
-    bound the generator guarantees.
+    p = q = 3 (mod 4) and coprime p and q. Strict mode adds primality
+    and every range bound the generator guarantees.
     """
     pub, priv = kp.public, kp.private
     n, e_a1, e_a2 = pub.n, pub.e_a1, pub.e_a2
@@ -117,23 +117,24 @@ def validate_keypair(kp, strict=True):
         bad.append("p-mod4: p != 3 (mod 4)")
     if q % 4 != 3:
         bad.append("q-mod4: q != 3 (mod 4)")
-    if p == q:
-        bad.append("p-q-distinct: p == q")
+    if math.gcd(p, q) != 1:
+        bad.append("p-q-coprime: gcd(p, q) != 1")
     if strict:
         if not is_probable_prime(p):
             bad.append("p-prime: p is not prime")
         if not is_probable_prime(q):
             bad.append("q-prime: q is not prime")
-        for tag, name, x, a, b in (
-            ("p", "p", p, n, n + 1),
-            ("q", "q", q, n, n + 1),
-            ("e1", "e_a1", e_a1, 3 * n, 3 * n + 3),
-            ("e2", "e_a2", e_a2, 3 * n + 4, 3 * n + 6),
-            ("pq", "p*q", pq, 2 * n, 2 * n + 2),
+        for tag, name, x, a, b, bounds in (
+            ("p", "p", p, n, n + 1, "2^n, 2^(n+1)"),
+            ("q", "q", q, n, n + 1, "2^n, 2^(n+1)"),
+            ("e1", "e_a1", e_a1, 3 * n, 3 * n + 3, "2^(3n), 2^(3n+3)"),
+            ("e2", "e_a2", e_a2, 3 * n + 4, 3 * n + 6, "2^(3n+4), 2^(3n+6)"),
+            ("pq", "p*q", pq, 2 * n, 2 * n + 2, "2^(2n), 2^(2n+2)"),
         ):
-            # 2^a < x < 2^b by bit lengths: no power of two is built from the file's n
+            # 2^a < x < 2^b by bit lengths: no power of two is built from the file's n,
+            # and the message names the bounds in n, which may be too long for decimal
             if not (x > 0 and (x - 1).bit_length() > a and x.bit_length() <= b):
-                bad.append(f"{tag}-range: {name} not in (2^{a}, 2^{b})")
+                bad.append(f"{tag}-range: {name} not in ({bounds})")
         if d**9 <= e_a1**4:
             bad.append("d-floor: d not above e_a1^(4/9)")
         if not 1 < d < pq:

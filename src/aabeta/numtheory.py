@@ -152,7 +152,7 @@ def sqrt_mod_p_3mod4(w, p):
         raise ValueError("w must lie in [0, p)")
     x = pow(w, (p + 1) // 4, p)
     if x * x % p != w:
-        raise NonResidueError(f"{w} is not a quadratic residue mod {p}")
+        raise NonResidueError("w is not a quadratic residue mod p")
     return x
 
 

@@ -38,8 +38,8 @@ class RabinKeyPair:
     def __post_init__(self):
         if self.N != self.p * self.q:
             raise ValueError("N != p*q")
-        if self.p == self.q:
-            raise ValueError("p == q")
+        if math.gcd(self.p, self.q) != 1:
+            raise ValueError("p and q share a factor")
         if self.p % 4 != 3 or self.q % 4 != 3:
             raise ValueError("primes must be 3 (mod 4)")
 

@@ -737,6 +737,12 @@ def test_factor_from_roots_random_keys(n):
         assert factor_from_roots(kp.public.e_a1, list(roots)) == (p, q)
 
 
+def test_factor_from_roots_cross_sum_p_squared():
+    # the first cross-sum is p^2, whose gcd with e_a1 = p^2*q is p^2 itself
+    roots = [vectors.P16**2, 0, 0, 0]
+    assert factor_from_roots(vectors.E_A1_16, roots) == (vectors.P16, vectors.Q16)
+
+
 def test_factor_from_roots_failure():
     with pytest.raises(FactoringFailure):
         factor_from_roots(539, [0, 0, 0, 0])

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import random
 import re
@@ -676,6 +677,97 @@ def test_key_files_disagreeing_on_n_exit_4(keys16, tmp_path, capsys):
     assert run("decrypt", "--pub", str(pub), "--priv", str(priv),
                "--in", str(ct), "--out", str(tmp_path / "o")) == 4
     assert capsys.readouterr().err.count("key files disagree on n") == 2
+
+
+def test_keys_whose_p_and_q_share_a_factor_exit_4(tmp_path, capsys):
+    # p = 27 and q = 3 * 7673 are both 3 (mod 4), and the AA-beta key on them
+    # is otherwise consistent; four_roots would need q^-1 mod p
+    n, p, q = 8, 27, 23019
+    pq, e_a1 = p * q, p * p * q
+    e_a2 = (1 << 24) + 1
+    while math.gcd(e_a2, e_a1 * pq) != 1:
+        e_a2 += 2
+    key = PublicKey(n, e_a1, e_a2)
+    pub, priv, ct = (tmp_path / name for name in ("pub.txt", "priv.txt", "ct.txt"))
+    pub.write_text(format_public_key(key))
+    priv.write_text(format_private_key(PrivateKey(p, q, pow(e_a2, -1, pq)), n))
+    c_lo = ciphertext_range(key)[0]
+    ct.write_text(format_ciphertext(Ciphertext((c_lo // pq + 1) * pq)))  # W = 0
+    assert run("decrypt", "--pub", str(pub), "--priv", str(priv),
+               "--in", str(ct), "--out", str(tmp_path / "o")) == 4
+    assert run("validate", "--pub", str(pub), "--priv", str(priv), "--relaxed") == 4
+    assert capsys.readouterr().err.count("p-q-coprime") == 2
+    rpriv = tmp_path / "rpriv.txt"
+    rpriv.write_text(format_fields([("n", 24), ("p", p), ("q", q)]))
+    ct.write_text(format_ciphertext(Ciphertext(0)))
+    assert run("rabin", "decrypt", "--priv", str(rpriv), "--in", str(ct),
+               "--out", str(tmp_path / "o"), "--scheme", "redundant") == 4
+    assert "share a factor" in capsys.readouterr().err
+
+
+def test_n_beyond_the_decimal_digit_limit_exits_4(keys16, tmp_path, capsys):
+    # 4,000 hex digits are about 4,816 decimal ones, past CPython's 4,300
+    pub, priv = keys16
+    huge = "0x" + "f" * 4000
+    first, rest = priv.read_text().split("\n", 1)
+    priv.write_text(f"n = {huge}\n{rest}")
+    ct = tmp_path / "ct.txt"
+    ct.write_text(f"{vectors.C16:#x}\n")
+    t0 = time.perf_counter()
+    assert run("decrypt", "--pub", str(pub), "--priv", str(priv),
+               "--in", str(ct), "--out", str(tmp_path / "o")) == 4
+    assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 4
+    assert run("attack", "--kind", "coppersmith", "--pub", str(pub), "--priv", str(priv)) == 4
+    assert capsys.readouterr().err.count("key files disagree on n") == 3
+    first, rest = pub.read_text().split("\n", 1)
+    pub.write_text(f"n = {huge}\n{rest}")
+    assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 4
+    assert "p-range: p not in (2^n, 2^(n+1))" in capsys.readouterr().err
+    assert run("validate", "--pub", str(pub), "--priv", str(priv), "--relaxed") == 0
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_rabin_ambiguity_message_prints_no_root_in_decimal(tmp_path, capsys):
+    # Mersenne primes, both 3 (mod 4): the roots have over 1,000 decimal digits
+    p, q = (1 << 1279) - 1, (1 << 2203) - 1
+    c = rabin.encrypt_redundant(p * q, 1, 1)
+    assert isinstance(rabin.decrypt_redundant(rabin.RabinKeyPair(p * q, p, q), c, 1),
+                      rabin.AmbiguityReport)
+    priv, ct = tmp_path / "rpriv.txt", tmp_path / "rct.txt"
+    priv.write_text(format_fields([("n", 2202), ("p", p), ("q", q)]))
+    ct.write_text(format_ciphertext(Ciphertext(c)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # CPython's lowest limit
+    try:
+        code = run("rabin", "decrypt", "--priv", str(priv), "--in", str(ct),
+                   "--out", str(tmp_path / "o"), "--scheme", "redundant", "--l", "1")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 4
+    assert "ambiguous decryption: 2 roots carry the tag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("p", "0x" + "f" * 5000), ("n", hex(_MAX_N + 1))],
+                         ids=["p-2^20000-1", "n-above-bound"])
+def test_rabin_key_larger_than_its_n_exits_4(rabin_files, tmp_path, capsys, field, value):
+    priv, ct = rabin_files
+    values = parse_fields(priv.read_text(), ("n", "p", "q"))
+    values[field] = parse_uint(value)
+    priv.write_text(format_fields(values.items()))
+    t0 = time.perf_counter()
+    assert rabin_decrypt(priv, ct, tmp_path / "o") == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert "Rabin key too large" in capsys.readouterr().err
+
+
+def test_rabin_decrypt_without_a_tagged_root_exits_4(tmp_path, capsys):
+    # the roots of 1 mod 77 are 1, 34, 43 and 76: none repeats its low 2 bits
+    priv, ct = tmp_path / "rpriv.txt", tmp_path / "rct.txt"
+    priv.write_text(format_fields([("n", 8), ("p", 7), ("q", 11)]))
+    ct.write_text(format_ciphertext(Ciphertext(1)))
+    assert run("rabin", "decrypt", "--priv", str(priv), "--in", str(ct),
+               "--out", str(tmp_path / "o"), "--scheme", "redundant", "--l", "2") == 4
+    assert "no root carries the replicated tag" in capsys.readouterr().err
 
 
 def test_generation_failure_exits_3(monkeypatch, tmp_path, capsys):

@@ -118,6 +118,22 @@ def test_validation_flags_zero_prime_without_dividing_by_zero(zero, strict):
     names = [v.partition(":")[0] for v in validate_keypair(kp, strict=strict).violations]
     assert "d-inverse" in names
     assert f"{zero}-mod4" in names
+    assert "p-q-coprime" in names  # gcd(0, x) = x
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "relaxed"])
+def test_validation_flags_p_and_q_sharing_a_factor(strict):
+    # 27 and 23019 = 3 * 7673 are distinct and both 3 (mod 4)
+    n, p, q = 8, 27, 23019
+    pq = p * q
+    e_a2 = (1 << 24) + 1
+    while math.gcd(e_a2, p * pq) != 1:
+        e_a2 += 2
+    kp = KeyPair(PublicKey(n, p * pq, e_a2), PrivateKey(p, q, pow(e_a2, -1, pq)))
+    names = [v.partition(":")[0] for v in validate_keypair(kp, strict=strict).violations]
+    assert "p-q-coprime" in names
+    if not strict:
+        assert names == ["p-q-coprime"]
 
 
 def test_check_public_key_needs_n_at_least_8_and_3n_bit_coefficients():

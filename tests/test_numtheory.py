@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,6 +200,17 @@ def test_sqrt_mod_p_3mod4_non_residue():
     assert residues == {0, 1, 2, 4}
     with pytest.raises(NonResidueError):
         sqrt_mod_p_3mod4(3, 7)
+
+
+def test_sqrt_mod_p_3mod4_non_residue_message_prints_no_decimal():
+    # 3 is not a residue mod the Mersenne prime 2^2203 - 1 (664 decimal digits)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # CPython's lowest limit
+    try:
+        with pytest.raises(NonResidueError):
+            sqrt_mod_p_3mod4(3, (1 << 2203) - 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_sqrt_mod_p_3mod4_rejects_bad_modulus():

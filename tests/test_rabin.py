@@ -222,3 +222,17 @@ def test_keypair_validation():
         rabin.RabinKeyPair(49, 7, 7)
     with pytest.raises(ValueError):
         rabin.RabinKeyPair(35, 5, 7)  # 5 = 1 mod 4
+
+
+def test_keypair_rejects_p_and_q_sharing_a_factor():
+    # 27 and 23019 = 3 * 7673 are distinct and both 3 (mod 4)
+    with pytest.raises(ValueError, match="share a factor"):
+        rabin.RabinKeyPair(27 * 23019, 27, 23019)
+
+
+def test_redundant_rejects_a_ciphertext_without_a_tagged_root():
+    # the roots of 1 mod 77 are 1, 34, 43 and 76: none repeats its low 2 bits
+    kp = rabin.RabinKeyPair(77, 7, 11)
+    assert sorted(rabin.decrypt_all(kp, 1)) == [1, 34, 43, 76]
+    with pytest.raises(InvalidCiphertext, match="no root carries the replicated tag"):
+        rabin.decrypt_redundant(kp, 1, 2)
