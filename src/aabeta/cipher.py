@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .codec import EncodedMessage
-from .errors import InvalidCiphertext, NonResidueError, ParameterViolation
+from .errors import InconsistentKey, InvalidCiphertext, NonResidueError, ParameterViolation
 from .keys import parse_uint
-from .numtheory import sqrt_mod_p_3mod4
-from .rabin import RabinKeyPair, decrypt_all
+from .numtheory import four_roots, sqrt_mod_p_3mod4
 
 __all__ = [
     "Ciphertext",
@@ -86,14 +85,14 @@ def decrypt(kp, ct):
 
     Raises InvalidCiphertext before any modexp when C is outside the range
     the V window and the m1 range allow, and when the unmasked value
-    W = C*d mod p*q has no square root mod p. A Newton step lifts that root
-    x to x1 = +-V mod p^2, and the candidates are x1 and p^2 - x1; unless
-    gcd(x, p) = 1 and p*min(p, q) > 2^(2n-1) (every window V below p^2 and
-    p*q), they are the four roots of W from rabin.decrypt_all. Exactly one
-    may pass the V window and divide the ciphertext equation: zero, or one
-    whose (U >> n, V >> n) lies outside the message ranges, means the
-    ciphertext is not a valid encryption under this key (InvalidCiphertext);
-    two or more means the key breaks the uniqueness window (ParameterViolation).
+    W = C*d mod p*q has no square root x mod p. A Newton step lifts x to
+    the two candidates +-V mod p^2; unless gcd(x, p) = 1 and p*min(p, q) >
+    2^(2n-1) (every window V below p^2 and p*q), the candidates are W's four
+    roots four_roots(x, sqrt_mod_p_3mod4(W % q, q), p, q). Exactly one may
+    pass the V window and divide the ciphertext equation: zero, or one outside
+    the message ranges, raises InvalidCiphertext; two or more, ParameterViolation
+    (the key breaks the uniqueness window). A p or q that the root step
+    rejects (zero, not 3 mod 4, or sharing a factor) raises InconsistentKey.
     """
     pub, priv = kp.public, kp.private
     n = pub.n
@@ -104,18 +103,20 @@ def decrypt(kp, ct):
     c_hi = ((1 << 4 * n + 1) - 1) * pub.e_a1 + (v_hi - 1) ** 2 * pub.e_a2
     if not c_lo <= c <= c_hi:
         raise InvalidCiphertext("ciphertext outside the range of the public key")
-    p, q, pq = priv.p, priv.q, priv.pq
-    w = c * priv.d % pq
+    p, q = priv.p, priv.q
     try:
+        w = c * priv.d % priv.pq
         x = sqrt_mod_p_3mod4(w % p, p)
+        if p * min(p, q) > v_hi and math.gcd(x, p) == 1:
+            pp = p * p  # Newton on e_a2*V^2 - C mod p^2, with d = e_a2^-1 (mod p)
+            t = (pub.e_a2 * x * x - c) % pp // p * priv.d * pow(2 * x, -1, p) % p
+            roots = ((x - p * t) % pp, (p * t - x) % pp)
+        else:
+            roots = four_roots(x, sqrt_mod_p_3mod4(w % q, q), p, q)
     except NonResidueError as exc:
-        raise InvalidCiphertext("value is not a quadratic residue mod p") from exc
-    if p * min(p, q) > v_hi and math.gcd(x, p) == 1:
-        pp = p * p  # Newton on e_a2*V^2 - C mod p^2, with d = e_a2^-1 (mod p)
-        t = (pub.e_a2 * x * x - c) % pp // p * priv.d * pow(2 * x, -1, p) % p
-        roots = ((x - p * t) % pp, (p * t - x) % pp)
-    else:
-        roots = decrypt_all(RabinKeyPair(pq, p, q), w)
+        raise InvalidCiphertext("value is not a quadratic residue mod p*q") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InconsistentKey(f"private key fails the root step: {exc}") from exc
     accepted = []
     # dict.fromkeys collapses duplicate roots (x_p or x_q zero)
     for v in dict.fromkeys(roots):

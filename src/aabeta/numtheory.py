@@ -163,8 +163,8 @@ def four_roots(x_p, x_q, p, q):
     (+,+), (+,-), (-,+), (-,-) so cross-sums of the first/third and
     second/fourth entries are divisible by p.
     """
-    if p == q:
-        raise ValueError("p and q must be distinct")
+    if math.gcd(p, q) != 1:
+        raise ValueError("p and q share a factor")
     if not 0 <= x_p < p:
         raise ValueError("x_p must lie in [0, p)")
     if not 0 <= x_q < q:

@@ -267,9 +267,10 @@ def reference_strong_lucas(n):
 def reference_decrypt(kp, ct):
     """Decryption through all four square roots of W = C*d mod p*q.
 
-    Same range check, filters and errors as `cipher.decrypt`: the roots
-    come from rabin.decrypt_all, and exactly one may pass the V window and
-    divide the ciphertext equation.
+    Same range check and filters as `cipher.decrypt`: the roots come from
+    rabin.decrypt_all, and exactly one may pass the V window and divide the
+    ciphertext equation. Its errors match decrypt's only on keys that pass
+    relaxed validation: on others RabinKeyPair raises ValueError.
     """
     pub, priv = kp.public, kp.private
     n = pub.n

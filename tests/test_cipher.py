@@ -3,10 +3,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aabeta import cipher, rabin
+from aabeta import cipher
 from aabeta.cipher import (
     Ciphertext,
     EphemeralPair,
@@ -18,9 +18,9 @@ from aabeta.cipher import (
     sample_ephemerals,
 )
 from aabeta.codec import EncodedMessage, capacity_bytes, decode, encode
-from aabeta.errors import CryptoError, InvalidCiphertext, ParameterViolation
+from aabeta.errors import CryptoError, InconsistentKey, InvalidCiphertext, ParameterViolation
 from aabeta.keys import KeyPair, PrivateKey, PublicKey, generate_keypair, validate_keypair
-from aabeta.numtheory import is_probable_prime, jacobi, sqrt_mod_p_3mod4
+from aabeta.numtheory import four_roots, is_probable_prime, jacobi, sqrt_mod_p_3mod4
 
 import vectors
 from reference import accepted_roots, ciphertext_range, reference_decrypt, unmasked_roots
@@ -121,8 +121,8 @@ def test_out_of_range_ciphertexts_rejected_before_any_root(monkeypatch):
     def no_root(*args):
         raise AssertionError("square root taken for an out-of-range ciphertext")
 
-    monkeypatch.setattr(rabin, "sqrt_mod_p_3mod4", no_root)  # decrypt_all's root step
-    monkeypatch.setattr(cipher, "sqrt_mod_p_3mod4", no_root)  # decrypt's own root step
+    monkeypatch.setattr(cipher, "sqrt_mod_p_3mod4", no_root)  # both of decrypt's root steps
+    monkeypatch.setattr(cipher, "four_roots", no_root)  # the four-root combine
     for kp in (vectors.keypair(), generate_keypair(16, random.Random(3))):
         c_lo, c_hi = ciphertext_range(kp.public)
         huge = random.Random(6).getrandbits(10**6) | 1 << 10**6 - 1
@@ -225,10 +225,22 @@ def _count_four_root_calls(monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return rabin.decrypt_all(*args)
+        return four_roots(*args)
 
-    monkeypatch.setattr(cipher, "decrypt_all", counted)
+    monkeypatch.setattr(cipher, "four_roots", counted)
     return calls
+
+
+def _record_root_moduli(monkeypatch):
+    """Record the modulus of each square root decrypt takes; returns the list."""
+    moduli = []
+
+    def recorded(w, p):
+        moduli.append(p)
+        return sqrt_mod_p_3mod4(w, p)
+
+    monkeypatch.setattr(cipher, "sqrt_mod_p_3mod4", recorded)
+    return moduli
 
 
 def _outcome_pair(kp, c):
@@ -245,13 +257,7 @@ def _outcome_pair(kp, c):
 @pytest.mark.parametrize("n", [16, 64])
 def test_honest_decrypt_takes_one_square_root(monkeypatch, n):
     calls = _count_four_root_calls(monkeypatch)
-    roots = []
-
-    def counted_root(w, p):
-        roots.append(p)
-        return rabin.sqrt_mod_p_3mod4(w, p)
-
-    monkeypatch.setattr(cipher, "sqrt_mod_p_3mod4", counted_root)
+    roots = _record_root_moduli(monkeypatch)
     rng = random.Random(f"one-root:{n}")
     kp = generate_keypair(n, rng)
     for _ in range(10):
@@ -276,8 +282,10 @@ def test_root_divisible_by_p_decrypts_through_four_roots(monkeypatch):
     ct = encrypt_trace(kp.public, msg, EphemeralPair((1 << n - 1) + 1, v & (1 << n) - 1))
     assert ct.v == v and v % p == 0
     calls = _count_four_root_calls(monkeypatch)
+    roots = _record_root_moduli(monkeypatch)
     assert decrypt(kp, ct.ciphertext) == msg
     assert calls == [1]
+    assert roots == [p, kp.private.q]
 
 
 def test_residue_mod_p_only_is_rejected_after_one_root(monkeypatch):
@@ -335,6 +343,65 @@ def test_composite_p_root_sharing_a_factor_is_rejected_not_a_value_error():
     c = c_lo + (w - c_lo) % p
     assert math.gcd(sqrt_mod_p_3mod4(c % p, p), p) == 3
     assert _outcome_pair(kp, c) == [InvalidCiphertext] * 2
+
+
+def _shared_factor_case():
+    # p = 27 and q = 23019 share the factor 3; W = 0 has the root 0 mod both
+    n, p, q = 8, 27, 23019
+    pub = PublicKey(n, p * p * q, 1)
+    c_lo, _ = ciphertext_range(pub)
+    return KeyPair(pub, PrivateKey(p, q, 1)), -(-c_lo // (p * q)) * p * q
+
+
+def _reference_key_with(p, q):
+    kp = vectors.keypair()
+    return KeyPair(kp.public, PrivateKey(p, q, kp.private.d)), vectors.C16
+
+
+@pytest.mark.parametrize(
+    "kp, c",
+    [
+        _shared_factor_case(),
+        _reference_key_with(vectors.P16 + 2, vectors.Q16),  # p + 2 = 1 (mod 4)
+        _reference_key_with(0, vectors.Q16),
+        _reference_key_with(vectors.P16, 0),
+    ],
+    ids=["p-q-share-3", "p-1mod4", "p-zero", "q-zero"],
+)
+def test_key_failing_the_root_step_raises_inconsistent_key(kp, c):
+    assert not validate_keypair(kp, strict=False).valid
+    with pytest.raises(InconsistentKey):
+        decrypt(kp, Ciphertext(c))
+
+
+@st.composite
+def four_root_cases(draw):
+    """Relaxed-valid keys (e_a2 = d = 1, p, q = 3 mod 4, coprime, below 2^12)
+    with p*min(p, q) <= 2^(2n-1), and a C from the key's range or the equation."""
+    n = draw(st.integers(5, 12))
+    bound = 1 << 2 * n - 1
+    p = 4 * draw(st.integers(0, (min(4095, bound // 3) - 3) // 4)) + 3
+    q_max = 4095 if p * p <= bound else bound // p
+    q = 4 * draw(st.integers(0, (q_max - 3) // 4)) + 3
+    assume(math.gcd(p, q) == 1)
+    pub = PublicKey(n, p * p * q, 1)
+    if draw(st.booleans()):
+        c = draw(st.integers(*ciphertext_range(pub)))
+    else:
+        u = draw(st.integers(((1 << 3 * n) + 1) << n, (1 << 4 * n + 1) - 1))
+        v = draw(st.integers((1 << 2 * n - 2) + 1, (1 << 2 * n - 1) - 1))
+        c = u * pub.e_a1 + v * v
+    return KeyPair(pub, PrivateKey(p, q, 1)), c
+
+
+@settings(deadline=None)
+@given(four_root_cases())
+def test_four_root_case_matches_reference_on_small_relaxed_keys(case):
+    kp, c = case
+    assert kp.private.p * min(kp.private.p, kp.private.q) <= 1 << 2 * kp.public.n - 1
+    assert validate_keypair(kp, strict=False).valid
+    got, want = _outcome_pair(kp, c)
+    assert got == want, (kp, c)
 
 
 @st.composite

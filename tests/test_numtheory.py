@@ -273,6 +273,11 @@ def test_four_roots_rejects_equal_primes():
         four_roots(1, 1, 7, 7)
 
 
+def test_four_roots_rejects_p_and_q_sharing_a_factor():
+    with pytest.raises(ValueError, match="p and q share a factor"):
+        four_roots(0, 0, 27, 23019)
+
+
 def test_jacobi_known_values():
     assert jacobi(2, 15) == 1
     assert jacobi(0, 9) == 0
