@@ -1,3 +1,4 @@
+import errno
 import functools
 import math
 import os
@@ -779,6 +780,63 @@ def test_generation_failure_exits_3(monkeypatch, tmp_path, capsys):
     assert run("keygen", "--n", "16", *outs) == 3
     assert run("rabin", "keygen", "--n", "16", *outs) == 3
     assert capsys.readouterr().err.count("no prime found") == 2
+
+
+@pytest.mark.parametrize(
+    "kind, given, missing",
+    [
+        ("euclid", ("--ct",), "known-answer"),
+        ("euclid", ("--known-answer",), "ct"),
+        ("factor-from-roots", (), "roots"),
+        ("congruence", (), "ct"),
+        ("lattice", (), "ct"),
+    ],
+    ids=["euclid-known-answer", "euclid-ct", "factor-from-roots-roots", "congruence-ct",
+         "lattice-ct"],
+)
+def test_attack_names_the_missing_input(reference_keys, tmp_path, capsys, kind, given, missing):
+    pub, _ = reference_keys
+    files = {"--ct": tmp_path / "ct.txt", "--known-answer": tmp_path / "ka.txt"}
+    files["--ct"].write_text(f"{vectors.C16:#x}\n")
+    files["--known-answer"].write_text(format_fields([("u", vectors.U16), ("v", vectors.V16)]))
+    options = [arg for option in given for arg in (option, str(files[option]))]
+    assert run("attack", "--kind", kind, "--pub", str(pub), *options) == 2
+    assert capsys.readouterr() == ("", f"error: --{missing} is required for --kind {kind}\n")
+
+
+def test_each_exit_code_row_prints_one_error_line(keys16, tmp_path, capsys, monkeypatch):
+    def exhausted(n, rng):
+        raise GenerationFailure("no prime found")
+
+    monkeypatch.setattr(aabeta.rabin, "keygen", exhausted)
+    pub, priv = keys16
+    big, absent, other_n = tmp_path / "big.bin", tmp_path / "absent", tmp_path / "priv17.txt"
+    big.write_bytes(b"x" * 8)
+    other_n.write_text(priv.read_text().replace("n = 0x10", "n = 0x11"))
+    out = str(tmp_path / "out")
+    rows = [
+        (("encrypt", "--pub", str(pub), "--in", str(big), "--out", out), 2,
+         "payload of 8 bytes exceeds capacity 7 at n=16"),
+        (("keygen", "--n", "16", "--out-pub", out, "--out-priv", out), 3, "no prime found"),
+        (("validate", "--pub", str(pub), "--priv", str(other_n)), 4,
+         "key files disagree on n: 0x10 vs 0x11"),
+        (("decrypt", "--pub", str(pub), "--priv", str(priv), "--in", str(absent), "--out", out),
+         5, f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{absent}'"),
+    ]
+    for argv, code, message in rows:
+        assert run(*argv) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_bench_out_writes_what_bench_prints(monkeypatch, tmp_path, capsys):
+    rows = aabeta.bench.run_bench(["rabin"], [16], reps=5, seed=0)
+    monkeypatch.setattr(aabeta.bench, "run_bench", lambda *args, **kwargs: rows)
+    assert run("bench") == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--out", str(out)) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == printed.encode("utf-8")
 
 
 def test_record_files_skip_blank_lines(keys16, tmp_path):
