@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 invalid arguments, 3 generation failure,
 4 cryptographic failure, 5 I/O failure.
+
+main maps exceptions to these codes through one ordered table, _EXIT_CODES.
 """
 
 import argparse
@@ -37,6 +39,9 @@ _ATTACK_KINDS = ("congruence", "coppersmith", "euclid", "lattice", "factor-from-
 # README uses, far past any size keygen finishes in, and small enough
 # that no 1 << n those commands build can exhaust memory.
 _MAX_N = 1 << 14
+# Tried in order: GenerationFailure and CapacityError are CryptoErrors.
+_EXIT_CODES = ((GenerationFailure, 3), (CapacityError, 2), (CryptoError, 4), (ValueError, 2),
+               (OSError, 5))
 
 
 def _read_text(path):
@@ -45,6 +50,21 @@ def _read_text(path):
 
 def _write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
+
+
+def _emit(path, text):
+    """Write text to path, or print it when no path is given."""
+    if path:
+        _write_text(path, text)
+    else:
+        print(text, end="")
+
+
+def _load_public_key(path):
+    """A public key file, parsed and size-checked by check_public_key."""
+    pub = parse_public_key(_read_text(path))
+    check_public_key(pub)
+    return pub
 
 
 def _load_keypair(pub_path, priv_path):
@@ -69,12 +89,10 @@ def _cmd_keygen(args):
     kp = generate_keypair(args.n, random.Random(args.seed))
     _write_text(args.out_pub, format_public_key(kp.public))
     _write_text(args.out_priv, format_private_key(kp.private, kp.public.n))
-    return 0
 
 
 def _cmd_encrypt(args):
-    pub = parse_public_key(_read_text(args.pub))
-    check_public_key(pub)
+    pub = _load_public_key(args.pub)
     if args.infile is None:
         ka = parse_fields(_read_text(args.insecure_known_answer), ("m1", "m2", "k1", "k2"))
         msg = codec.EncodedMessage(ka["m1"], ka["m2"], pub.n)
@@ -84,26 +102,22 @@ def _cmd_encrypt(args):
         eph = cipher.sample_ephemerals(pub.n, random.Random(args.seed))
     ct = cipher.encrypt_trace(pub, msg, eph).ciphertext
     _write_text(args.out, cipher.format_ciphertext(ct))
-    return 0
 
 
 def _cmd_decrypt(args):
     kp = _load_usable_keypair(args.pub, args.priv)
     msg = cipher.decrypt(kp, cipher.parse_ciphertext(_read_text(args.infile)))
     Path(args.out).write_bytes(codec.decode(msg))
-    return 0
 
 
 def _cmd_validate(args):
     kp = _load_keypair(args.pub, args.priv)
     report = validate_keypair(kp, strict=not args.relaxed)
-    mode = "relaxed" if args.relaxed else "strict"
-    if report.valid:
-        print(f"valid ({mode})")
-        return 0
-    for violation in report.violations:
-        print(violation, file=sys.stderr)
-    return 4
+    if not report.valid:
+        for violation in report.violations:
+            print(violation, file=sys.stderr)
+        return 4
+    print(f"valid ({'relaxed' if args.relaxed else 'strict'})")
 
 
 def _parse_n(text):
@@ -137,14 +151,19 @@ def report_to_text(report, elapsed_ms):
     return "\n".join(lines) + "\n"
 
 
+def _required(args, option):
+    """attack's --option, which --kind args.kind needs: a ValueError when absent."""
+    value = getattr(args, option.replace("-", "_"))
+    if value is None:
+        raise ValueError(f"--{option} is required for --kind {args.kind}")
+    return value
+
+
 def _cmd_attack(args):
-    pub = parse_public_key(_read_text(args.pub))
-    check_public_key(pub)
+    pub = _load_public_key(args.pub)
 
     def need_ct():
-        if args.ct is None:
-            raise ValueError(f"--ct is required for --kind {args.kind}")
-        return cipher.parse_ciphertext(_read_text(args.ct))
+        return cipher.parse_ciphertext(_read_text(_required(args, "ct")))
 
     t0 = time.perf_counter()
     if args.kind == "congruence":
@@ -153,9 +172,7 @@ def _cmd_attack(args):
         d = None if args.priv is None else _load_usable_keypair(args.pub, args.priv).private.d
         report = attacks.coppersmith_feasibility(pub, d=d)
     elif args.kind == "euclid":
-        if args.known_answer is None:
-            raise ValueError("--known-answer is required for --kind euclid")
-        ka = parse_fields(_read_text(args.known_answer), ("u", "v"))
+        ka = parse_fields(_read_text(_required(args, "known-answer")), ("u", "v"))
         report = attacks.euclid_division_check(pub, need_ct(), ka["u"], ka["v"])
     elif args.kind == "lattice":
         ka = {}
@@ -163,38 +180,17 @@ def _cmd_attack(args):
             ka = parse_fields(_read_text(args.known_answer), ("u", "v"))
         report = attacks.lattice_attack(pub, need_ct(), u_true=ka.get("u"), v_true=ka.get("v"))
     else:  # factor-from-roots
-        if args.roots is None:
-            raise ValueError("--roots is required for --kind factor-from-roots")
         fields = ("v1", "v2", "v3", "v4")
-        vals = parse_fields(_read_text(args.roots), fields)
+        vals = parse_fields(_read_text(_required(args, "roots")), fields)
         p, q = attacks.factor_from_roots(pub.e_a1, [vals[f] for f in fields])
-        report = attacks.AttackReport(
-            attack="factor-from-roots",
-            verdict=attacks.VERDICT_RECOVERED,
-            params={"n": pub.n},
-            recovered={"p": p, "q": q},
-        )
-    text = report_to_text(report, (time.perf_counter() - t0) * 1000.0)
-    if args.report:
-        _write_text(args.report, text)
-    else:
-        print(text, end="")
-    return 0
+        report = attacks.AttackReport("factor-from-roots", attacks.VERDICT_RECOVERED,
+                                      params={"n": pub.n}, recovered={"p": p, "q": q})
+    _emit(args.report, report_to_text(report, (time.perf_counter() - t0) * 1000.0))
 
 
 def _cmd_bench(args):
-    rows = bench.run_bench(
-        args.schemes.split(","),
-        args.n_list,
-        reps=args.reps,
-        seed=args.seed,
-    )
-    text = bench.emit_csv(rows)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        print(text, end="")
-    return 0
+    rows = bench.run_bench(args.schemes.split(","), args.n_list, reps=args.reps, seed=args.seed)
+    _emit(args.out, bench.emit_csv(rows))
 
 
 _RABIN_PUB_FIELDS = ("n", "N")
@@ -218,7 +214,6 @@ def _cmd_rabin_keygen(args):
     kp = rabin.keygen(args.n, random.Random(args.seed))
     _write_text(args.out_pub, format_fields(zip(_RABIN_PUB_FIELDS, (args.n, kp.N))))
     _write_text(args.out_priv, format_fields(zip(_RABIN_PRIV_FIELDS, (args.n, kp.p, kp.q))))
-    return 0
 
 
 def _cmd_rabin_encrypt(args):
@@ -230,7 +225,6 @@ def _cmd_rabin_encrypt(args):
     else:
         record = zip(_EXTRABITS_FIELDS, rabin.encrypt_extrabits(pub["N"], m))
         _write_text(args.out, format_fields(record))
-    return 0
 
 
 def _cmd_rabin_decrypt(args):
@@ -244,15 +238,13 @@ def _cmd_rabin_decrypt(args):
         raise InconsistentKey(f"inconsistent Rabin key: {exc}") from exc
     if args.scheme == "redundant":
         c = cipher.parse_ciphertext(_read_text(args.infile)).c
-        result = rabin.decrypt_redundant(kp, c, args.l)
-        if isinstance(result, rabin.AmbiguityReport):
-            raise CryptoError(f"ambiguous decryption: {len(result.roots)} roots carry the tag")
-        payload = result
+        payload = rabin.decrypt_redundant(kp, c, args.l)
+        if isinstance(payload, rabin.AmbiguityReport):
+            raise CryptoError(f"ambiguous decryption: {len(payload.roots)} roots carry the tag")
     else:
         fields = parse_fields(_read_text(args.infile), _EXTRABITS_FIELDS)
         payload = rabin.decrypt_extrabits(kp, *(fields[f] for f in _EXTRABITS_FIELDS))
     Path(args.out).write_bytes(_rabin_int_to_payload(payload))
-    return 0
 
 
 def _cmd_rabin_ambiguity(args):
@@ -260,19 +252,32 @@ def _cmd_rabin_ambiguity(args):
     print(f"trials = {stats.trials}")
     print(f"ambiguous = {stats.ambiguous}")
     print(f"rate = {stats.rate:.6f}")
-    return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(prog="aabeta", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("keygen", help="generate a key pair")
+def _add_keygen_options(p, handler):
+    """The options of keygen and rabin keygen."""
     p.add_argument("--n", type=_parse_n, required=True)
     p.add_argument("--seed", type=parse_uint, default=None)
     p.add_argument("--out-pub", required=True)
     p.add_argument("--out-priv", required=True)
-    p.set_defaults(handler=_cmd_keygen)
+    p.set_defaults(handler=handler)
+
+
+def _add_rabin_cipher_options(p, handler):
+    """The options rabin encrypt and decrypt take after their key file."""
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--scheme", choices=("redundant", "extrabits"), required=True)
+    p.add_argument("--l", type=parse_uint, default=8)
+    p.set_defaults(handler=handler)
+
+
+def build_parser():
+    # --help shows the docstring less its last paragraph, which is about the code
+    parser = argparse.ArgumentParser(prog="aabeta", description=__doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    _add_keygen_options(sub.add_parser("keygen", help="generate a key pair"), _cmd_keygen)
 
     p = sub.add_parser("encrypt", help="encrypt a payload file")
     p.add_argument("--pub", required=True)
@@ -318,28 +323,15 @@ def build_parser():
     p = sub.add_parser("rabin", help="baseline Rabin operations")
     rsub = p.add_subparsers(dest="rabin_command", required=True)
 
-    rp = rsub.add_parser("keygen")
-    rp.add_argument("--n", type=_parse_n, required=True)
-    rp.add_argument("--seed", type=parse_uint, default=None)
-    rp.add_argument("--out-pub", required=True)
-    rp.add_argument("--out-priv", required=True)
-    rp.set_defaults(handler=_cmd_rabin_keygen)
+    _add_keygen_options(rsub.add_parser("keygen"), _cmd_rabin_keygen)
 
     rp = rsub.add_parser("encrypt")
     rp.add_argument("--pub", required=True)
-    rp.add_argument("--in", dest="infile", required=True)
-    rp.add_argument("--out", required=True)
-    rp.add_argument("--scheme", choices=("redundant", "extrabits"), required=True)
-    rp.add_argument("--l", type=parse_uint, default=8)
-    rp.set_defaults(handler=_cmd_rabin_encrypt)
+    _add_rabin_cipher_options(rp, _cmd_rabin_encrypt)
 
     rp = rsub.add_parser("decrypt")
     rp.add_argument("--priv", required=True)
-    rp.add_argument("--in", dest="infile", required=True)
-    rp.add_argument("--out", required=True)
-    rp.add_argument("--scheme", choices=("redundant", "extrabits"), required=True)
-    rp.add_argument("--l", type=parse_uint, default=8)
-    rp.set_defaults(handler=_cmd_rabin_decrypt)
+    _add_rabin_cipher_options(rp, _cmd_rabin_decrypt)
 
     rp = rsub.add_parser("ambiguity")
     rp.add_argument("--l", type=parse_uint, default=8)
@@ -354,22 +346,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except GenerationFailure as exc:
+        return args.handler(args) or 0
+    except tuple(error for error, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CryptoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -312,6 +312,8 @@ def test_build_lattice_entries_and_determinant():
     ]
     assert determinant(rows) == -ct.c * t
     assert build_lattice(pub, ct, 1)[2] == [0, 0, -ct.c]
+    with pytest.raises(ValueError, match="scale must be at least 1"):
+        build_lattice(pub, ct, 0)
 
 
 def test_determinant_small_cases():
@@ -382,6 +384,12 @@ def test_lll_hand_checked_example():
 def test_lll_rejects_dependent_rows():
     with pytest.raises(ValueError):
         lll_reduce([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("basis", [[[1, 2], [3]], [[1, 0], [0, 1], [1, 1, 1]]])
+def test_lll_rejects_ragged_rows(basis):
+    with pytest.raises(ValueError, match="rows must have equal length"):
+        lll_reduce(basis)
 
 
 def test_lll_empty_basis():

@@ -596,6 +596,23 @@ def rabin_decrypt(priv, ct, out):
                "--out", str(out), "--scheme", "redundant")
 
 
+@pytest.mark.parametrize("scheme", ["redundant", "extrabits"])
+def test_rabin_decrypt_root_without_payload_sentinel_exits_4(rabin_files, tmp_path, capsys,
+                                                             scheme):
+    # rabin encrypt never writes the message 2: its leading byte is not the 0x01 sentinel
+    priv, ct = rabin_files
+    key = parse_fields(priv.read_text(), ("n", "p", "q"))
+    modulus = key["p"] * key["q"]
+    if scheme == "redundant":
+        ct.write_text(format_ciphertext(Ciphertext(rabin.encrypt_redundant(modulus, 2, 8))))
+    else:
+        ct.write_text(format_fields(zip(("c", "parity", "jacobi"),
+                                        rabin.encrypt_extrabits(modulus, 2))))
+    assert run("rabin", "decrypt", "--priv", str(priv), "--in", str(ct),
+               "--out", str(tmp_path / "o"), "--scheme", scheme) == 4
+    assert capsys.readouterr() == ("", "error: recovered integer has no payload sentinel\n")
+
+
 def test_rabin_private_key_rejects_underscored_value(rabin_files, tmp_path):
     priv, ct = rabin_files
     lines = priv.read_text().splitlines()

@@ -165,6 +165,12 @@ def test_gen_prime_3mod4_smallest_size():
         assert gen_prime_3mod4(4, rng) in expected
 
 
+@pytest.mark.parametrize("n", [-1, 0, 3])
+def test_gen_prime_3mod4_rejects_sizes_below_4(n):
+    with pytest.raises(ValueError, match="bit size must be at least 4"):
+        gen_prime_3mod4(n, random.Random(0))
+
+
 def test_gen_prime_3mod4_deterministic_under_seed():
     a = gen_prime_3mod4(4, random.Random(123))
     b = gen_prime_3mod4(4, random.Random(123))
@@ -271,6 +277,15 @@ def test_four_roots_sign_pattern():
 def test_four_roots_rejects_equal_primes():
     with pytest.raises(ValueError):
         four_roots(1, 1, 7, 7)
+
+
+@pytest.mark.parametrize(
+    "x_p, x_q, name",
+    [(7, 0, "x_p"), (-1, 0, "x_p"), (0, 11, "x_q"), (0, -1, "x_q")],
+)
+def test_four_roots_rejects_roots_out_of_range(x_p, x_q, name):
+    with pytest.raises(ValueError, match=rf"{name} must lie in \[0, "):
+        four_roots(x_p, x_q, 7, 11)
 
 
 def test_four_roots_rejects_p_and_q_sharing_a_factor():

@@ -99,6 +99,21 @@ def test_redundant_overflow():
         rabin.encrypt_redundant(77, 1 << 10, 4)
 
 
+@pytest.mark.parametrize(
+    "payload, l, reason",
+    [
+        (1, 0, "l must be at least 1"),
+        (-1, 2, "payload must be nonnegative"),
+        # 6 + 1 bits pass the bit-length check, but 0b1111111 = 127 >= 77
+        (0b111111, 1, "tagged message does not fit below N"),
+    ],
+    ids=["l-0", "negative-payload", "tagged-at-least-N"],
+)
+def test_redundant_rejects_bad_inputs(payload, l, reason):
+    with pytest.raises(ValueError, match=reason):
+        rabin.encrypt_redundant(77, payload, l)
+
+
 def test_redundant_ambiguity_found_by_exhaustive_search():
     # search tiny keys for a payload whose tagged square has a second
     # matching root, then check the report lists it
