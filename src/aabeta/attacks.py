@@ -21,7 +21,7 @@ failure: the verdict is data, and the same inputs give an equal report.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .codec import EncodedMessage
 from .errors import FactoringFailure, InconsistentKey
@@ -48,27 +48,23 @@ VERDICT_INFEASIBLE = "infeasible-by-bounds"
 VERDICT_NOT_RECOVERED = "not-recovered"
 
 
-@dataclass(frozen=True)
-class CongruenceParams:
+class CongruenceParams(namedtuple("CongruenceParams", "a b window_u window_v")):
     """Parametric solution data: U = a + e_a2*j and V^2 = b - e_a1*j.
 
     window_u and window_v are the guaranteed candidate counts 2^(n-6)
     and 3*2^(n-7) for the two scans.
     """
 
-    a: int
-    b: int
-    window_u: int
-    window_v: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AttackReport:
-    attack: str
-    verdict: str
-    params: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
-    recovered: dict = None
+class AttackReport(namedtuple("AttackReport", "attack verdict params diagnostics recovered")):
+    __slots__ = ()
+
+    def __new__(cls, attack, verdict, params=None, diagnostics=None, recovered=None):
+        # a fresh dict per report, never a shared default
+        return super().__new__(cls, attack, verdict, {} if params is None else params,
+                               {} if diagnostics is None else diagnostics, recovered)
 
 
 def congruence_params(pub, ct):

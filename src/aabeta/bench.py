@@ -17,7 +17,7 @@ import random
 import statistics
 import threading
 import time
-from dataclasses import astuple, dataclass, fields
+from collections import namedtuple
 from functools import partial
 
 from . import cipher, codec, rabin
@@ -37,22 +37,8 @@ _MIN_SAMPLE_SECONDS = 0.005
 _MAX_BATCH = 4096
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    scheme: str
-    n: int
-    keygen_ms: float
-    encrypt_ms: float
-    decrypt_ms: float
-    reps: int
-    payload_bytes: int
-
-
-@dataclass(frozen=True)
-class RsaKeyPair:
-    modulus: int
-    e: int
-    d: int
+BenchRow = namedtuple("BenchRow", "scheme n keygen_ms encrypt_ms decrypt_ms reps payload_bytes")
+RsaKeyPair = namedtuple("RsaKeyPair", "modulus e d")
 
 
 def rsa_keygen(n, rng):
@@ -97,9 +83,9 @@ def emit_csv(rows):
     """CSV text, one line per row, ordered by (scheme, n)."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(f.name for f in fields(BenchRow))
+    writer.writerow(BenchRow._fields)
     for row in sorted(rows, key=lambda r: (r.scheme, r.n)):
-        writer.writerow(f"{v:.6f}" if type(v) is float else v for v in astuple(row))
+        writer.writerow(f"{v:.6f}" if type(v) is float else v for v in row)
     return out.getvalue()
 
 

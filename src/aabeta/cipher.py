@@ -14,7 +14,7 @@ session values fall away under floor division by 2^n.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .codec import EncodedMessage
 from .errors import InconsistentKey, InvalidCiphertext, NonResidueError, ParameterViolation
@@ -34,22 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ciphertext:
-    c: int
-
-
-@dataclass(frozen=True)
-class EphemeralPair:
-    k1: int
-    k2: int
-
-
-@dataclass(frozen=True)
-class EncryptionTrace:
-    u: int
-    v: int
-    ciphertext: Ciphertext
+Ciphertext = namedtuple("Ciphertext", "c")
+EphemeralPair = namedtuple("EphemeralPair", "k1 k2")
+EncryptionTrace = namedtuple("EncryptionTrace", "u v ciphertext")
 
 
 def sample_ephemerals(n, rng):

@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import attacks, bench, cipher, codec, rabin
+from . import cipher, codec, rabin
 from .errors import (
     CapacityError,
     CodecError,
@@ -159,7 +159,11 @@ def _required(args, option):
     return value
 
 
+# Only attack and bench use the attack lab and the timing harness (which loads
+# statistics and csv), so each handler imports its module and startup loads neither.
 def _cmd_attack(args):
+    from . import attacks
+
     pub = _load_public_key(args.pub)
 
     def need_ct():
@@ -189,7 +193,10 @@ def _cmd_attack(args):
 
 
 def _cmd_bench(args):
-    rows = bench.run_bench(args.schemes.split(","), args.n_list, reps=args.reps, seed=args.seed)
+    from . import bench
+
+    schemes = bench.SCHEMES if args.schemes is None else args.schemes.split(",")
+    rows = bench.run_bench(schemes, args.n_list, reps=args.reps, seed=args.seed)
     _emit(args.out, bench.emit_csv(rows))
 
 
@@ -313,7 +320,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_attack)
 
     p = sub.add_parser("bench", help="run the timing harness, emit CSV")
-    p.add_argument("--schemes", default=",".join(bench.SCHEMES))
+    p.add_argument("--schemes")
     p.add_argument("--n-list", type=_parse_n_list, default="64,128")
     p.add_argument("--reps", type=parse_uint, default=5)
     p.add_argument("--seed", type=parse_uint, default=0)

@@ -10,27 +10,28 @@ initial segment: every payload round-trips, including length zero and
 full capacity, and the length never needs a separate header field.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapacityError, CodecError
 
 __all__ = ["EncodedMessage", "capacity_bytes", "encode", "decode"]
 
 
-@dataclass(frozen=True)
-class EncodedMessage:
-    m1: int
-    m2: int
-    n: int
+class EncodedMessage(namedtuple("EncodedMessage", "m1 m2 n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.n
+    def __new__(cls, m1, m2, n):
         if n < 8:
             raise ValueError("n must be at least 8")
-        if not (1 << (3 * n)) < self.m1 < (1 << (3 * n + 1)):
+        if not (1 << (3 * n)) < m1 < (1 << (3 * n + 1)):
             raise ValueError(f"m1 outside (2^{3 * n}, 2^{3 * n + 1})")
-        if not (1 << (n - 2)) < self.m2 < (1 << (n - 1)):
+        if not (1 << (n - 2)) < m2 < (1 << (n - 1)):
             raise ValueError(f"m2 outside (2^{n - 2}, 2^{n - 1})")
+        return super().__new__(cls, m1, m2, n)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: keep it checked
+        return cls(*iterable)
 
 
 def capacity_bytes(n):

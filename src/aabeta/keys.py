@@ -8,7 +8,7 @@ the decryption exponent with e_a2*d = 1 (mod p*q).
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import rabin
 from .errors import GenerationFailure, InconsistentKey
@@ -32,33 +32,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PublicKey:
-    n: int
-    e_a1: int
-    e_a2: int
+PublicKey = namedtuple("PublicKey", "n e_a1 e_a2")
+KeyPair = namedtuple("KeyPair", "public private")
 
 
-@dataclass(frozen=True)
-class PrivateKey:
-    p: int
-    q: int
-    d: int
+class PrivateKey(namedtuple("PrivateKey", "p q d")):
+    __slots__ = ()
 
     @property
     def pq(self):
         return self.p * self.q
 
 
-@dataclass(frozen=True)
-class KeyPair:
-    public: PublicKey
-    private: PrivateKey
+class ValidationReport(namedtuple("ValidationReport", "violations")):
+    __slots__ = ()
 
-
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
+    def __new__(cls, violations=None):
+        return super().__new__(cls, [] if violations is None else violations)
 
     @property
     def valid(self):

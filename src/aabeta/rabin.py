@@ -9,7 +9,7 @@ gcd(M, N) = 1.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidCiphertext, NonResidueError
 from .numtheory import four_roots, gen_prime_3mod4, jacobi, sqrt_mod_p_3mod4
@@ -29,33 +29,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RabinKeyPair:
-    N: int
-    p: int
-    q: int
+class RabinKeyPair(namedtuple("RabinKeyPair", "N p q")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N != self.p * self.q:
+    def __new__(cls, N, p, q):
+        if N != p * q:
             raise ValueError("N != p*q")
-        if math.gcd(self.p, self.q) != 1:
+        if math.gcd(p, q) != 1:
             raise ValueError("p and q share a factor")
-        if self.p % 4 != 3 or self.q % 4 != 3:
+        if p % 4 != 3 or q % 4 != 3:
             raise ValueError("primes must be 3 (mod 4)")
+        return super().__new__(cls, N, p, q)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: keep it checked
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AmbiguityReport:
+class AmbiguityReport(namedtuple("AmbiguityReport", "roots payloads")):
     """Multiple roots passed the redundancy check."""
 
-    roots: tuple
-    payloads: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RedundancyStats:
-    trials: int
-    ambiguous: int
+class RedundancyStats(namedtuple("RedundancyStats", "trials ambiguous")):
+    __slots__ = ()
 
     @property
     def rate(self):

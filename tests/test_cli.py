@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aabeta
+import aabeta.bench  # the bench command imports it only when run
 from aabeta import rabin
 from aabeta.attacks import AttackReport, euclid_division_check
 from aabeta.cipher import (
@@ -522,19 +523,35 @@ def test_rabin_ambiguity_zero_trials_exit_2(capsys):
     assert "trials must be at least 1" in capsys.readouterr().err
 
 
-def test_console_script_help():
+def _subprocess_env():
     # the subprocess does not see pytest's sys.path, so point it at the
     # directory that holds the aabeta package imported here
     src = str(Path(aabeta.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "aabeta.cli", "--help"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_subprocess_env(),
     )
     assert proc.returncode == 0
     assert "keygen" in proc.stdout
+
+
+def test_importing_the_cli_loads_neither_the_attack_lab_nor_the_bench():
+    # a module count, not a timing: the modules `import aabeta.cli` adds to
+    # those the interpreter (and site) loaded before it
+    probe = ("import sys; before = set(sys.modules); import aabeta.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_subprocess_env(), check=True, timeout=60)
+    added = set(proc.stdout.split())
+    assert "aabeta.cli" in added
+    assert added.isdisjoint({"aabeta.attacks", "aabeta.bench", "dataclasses", "statistics", "csv"})
 
 
 _ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
@@ -845,6 +862,12 @@ def test_each_exit_code_row_prints_one_error_line(keys16, tmp_path, capsys, monk
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_bench_without_schemes_writes_every_scheme(capsys):
+    assert run("bench", "--n-list", "16") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["aabeta", "rabin", "rsa"]
+
+
 def test_bench_out_writes_what_bench_prints(monkeypatch, tmp_path, capsys):
     rows = aabeta.bench.run_bench(["rabin"], [16], reps=5, seed=0)
     monkeypatch.setattr(aabeta.bench, "run_bench", lambda *args, **kwargs: rows)
@@ -897,14 +920,12 @@ def test_claimed_sizes_build_no_power_of_two(keys16, rabin_files, tmp_path, argv
     payload.write_bytes(b"ab")
     paths = {"pub": pub, "priv": priv, "ct": ct, "out": tmp_path / "out", "payload": payload,
              "rpub": tmp_path / "rpub.txt", "rpriv": rpriv, "rct": rct, "huge": huge}
-    src = str(Path(aabeta.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "aabeta.cli", *(arg.format(**paths) for arg in argv)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_subprocess_env(),
         preexec_fn=_cap_address_space,
         timeout=60,
     )
@@ -926,15 +947,13 @@ def test_claimed_sizes_build_no_power_of_two(keys16, rabin_files, tmp_path, argv
 @pytest.mark.parametrize("n", [1 << 40, _MAX_N + 1], ids=["2^40", "bound+1"])
 def test_generation_sizes_above_the_bound_exit_2(tmp_path, argv, n):
     # Without the bound, n = 2^40 dies in 1 << (n - 2) with a MemoryError traceback.
-    src = str(Path(aabeta.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "aabeta.cli",
          *(arg.format(n=hex(n), out=tmp_path / "out") for arg in argv)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_subprocess_env(),
         preexec_fn=_cap_address_space,
         timeout=60,
     )
