@@ -1,13 +1,14 @@
 """Timing harness comparing the scheme against textbook RSA and Rabin.
 
 Medians of per-operation wall-clock milliseconds over at least five
-repetitions. Encryption at small n is far cheaper than interpreter
-call overhead, so the timed unit for each operation is a batch kernel
-that inlines the hot arithmetic over pre-generated inputs; batch sizes
-are auto-calibrated so one sample is long enough to time reliably.
-Inputs are seeded per (scheme, n) row for reproducibility. Benchmarks
-are single-threaded by contract: concurrent invocation in one process
-is rejected.
+rounds. Every (scheme, n) row is built before anything is timed, then
+each round times every row's keygen, encrypt and decrypt once: host
+speed drifts by about 1.8x over spans longer than a row, and timing
+rows back to back flattened the growth slope of encrypt time. A single
+encryption is far cheaper than call overhead, so encrypt and decrypt
+time batch kernels over pre-generated inputs seeded per row, with the
+batch calibrated so one sample is long enough to time reliably. Runs
+are single-threaded: concurrent invocation in one process is rejected.
 """
 
 import csv
@@ -70,11 +71,19 @@ def run_bench(schemes, n_list, reps=5, seed=0):
     if not _running.acquire(blocking=False):
         raise RuntimeError("a benchmark is already running in this process")
     try:
-        rows = []
-        for scheme in sorted(set(schemes)):
-            for n in sorted(set(n_list)):
-                rows.append(_bench_row(scheme, n, reps, seed))
-        return rows
+        rows = [_prepare_row(scheme, n, seed) for scheme in sorted(set(schemes)) for n in sorted(set(n_list))]
+        # Job-major, so one job's rows are timed close together: all
+        # encrypts, then all decrypts, then the slow keygens.
+        order = [jobs[j] for j in (1, 2, 0) for *_, jobs in rows]
+        for _ in range(reps):
+            for run, ops, samples in order:
+                t0 = time.perf_counter()
+                run()
+                samples.append((time.perf_counter() - t0) / ops * 1000.0)
+        return [
+            BenchRow(scheme, n, *(statistics.median(s) for *_, s in jobs), reps, payload_bytes)
+            for scheme, n, payload_bytes, jobs in rows
+        ]
     finally:
         _running.release()
 
@@ -89,25 +98,15 @@ def emit_csv(rows):
     return out.getvalue()
 
 
-def _median_per_op(callable_once, ops, reps):
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        callable_once()
-        samples.append((time.perf_counter() - t0) / ops * 1000.0)
-    return statistics.median(samples)
-
-
-def _calibrate(make_items, kernel):
-    """Grow the batch until one kernel run is long enough to time."""
-    size = 1
+def _calibrate(make_one, kernel):
+    """Grow the batch 4x, drawing only the new items, until one kernel run is long enough to time."""
+    items = [make_one()]
     while True:
-        items = make_items(size)
         t0 = time.perf_counter()
         kernel(items)
-        if time.perf_counter() - t0 >= _MIN_SAMPLE_SECONDS or size >= _MAX_BATCH:
+        if time.perf_counter() - t0 >= _MIN_SAMPLE_SECONDS or len(items) >= _MAX_BATCH:
             return items
-        size *= 4
+        items += [make_one() for _ in range(3 * len(items))]
 
 
 def _aabeta_ops(kp, n, payload_bytes, rng):
@@ -184,16 +183,17 @@ _SCHEME_TABLE = {
 SCHEMES = tuple(_SCHEME_TABLE)
 
 
-def _bench_row(scheme, n, reps, seed):
+def _prepare_row(scheme, n, seed):
+    """Build one row's key and batches; its jobs are (run, ops, samples) in BenchRow order."""
     rng = random.Random(f"{seed}:{scheme}:{n}")
     keygen, payload_size, ops = _SCHEME_TABLE[scheme]
     payload_bytes = payload_size(n)
-    kp = keygen(n, rng)
-    keygen_ms = _median_per_op(lambda: keygen(n, rng), 1, reps)
-    draw, seal, enc_kernel, dec_kernel = ops(kp, n, payload_bytes, rng)
-    timings = []
-    for make_one, kernel in ((draw, enc_kernel), (lambda: seal(draw()), dec_kernel)):
-        items = _calibrate(lambda size: [make_one() for _ in range(size)], kernel)
-        timings.append(_median_per_op(lambda: kernel(items), len(items), reps))
-    encrypt_ms, decrypt_ms = timings
-    return BenchRow(scheme, n, keygen_ms, encrypt_ms, decrypt_ms, reps, payload_bytes)
+    draw, seal, enc_kernel, dec_kernel = ops(keygen(n, rng), n, payload_bytes, rng)
+    enc_items = _calibrate(draw, enc_kernel)
+    dec_items = _calibrate(lambda: seal(draw()), dec_kernel)
+    jobs = (
+        (partial(keygen, n, rng), 1, []),
+        (partial(enc_kernel, enc_items), len(enc_items), []),
+        (partial(dec_kernel, dec_items), len(dec_items), []),
+    )
+    return scheme, n, payload_bytes, jobs

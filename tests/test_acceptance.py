@@ -231,7 +231,7 @@ def test_criterion_8_size_ratios_and_encryption_growth():
         # growth trend of encryption time
         rows = run_bench(["aabeta"], [128, 256, 512, 1024], reps=5, seed=0)
         times = [row.encrypt_ms for row in sorted(rows, key=lambda r: r.n)]
-        assert times == sorted(times)
+        assert times == sorted(times), times
         xs = [math.log(row.n) for row in rows]
         ys = [math.log(row.encrypt_ms) for row in rows]
         xbar = sum(xs) / len(xs)

@@ -74,6 +74,44 @@ def test_run_bench_validates_arguments():
         run_bench(["nope"], [16], reps=5)
 
 
+def test_run_bench_prepares_every_row_then_times_identical_rounds(monkeypatch):
+    from aabeta import bench as bench_mod
+
+    calls = []
+
+    def keygen(n, rng):
+        calls.append(("keygen", n))
+        return n
+
+    def ops(kp, n, payload_bytes, rng):
+        def draw():
+            calls.append(("draw", n))
+            return n
+
+        def seal(item):
+            calls.append(("seal", n))
+            return item
+
+        def kernel(job):
+            return lambda items: calls.append((job, n))
+
+        return draw, seal, kernel("encrypt"), kernel("decrypt")
+
+    monkeypatch.setitem(bench_mod._SCHEME_TABLE, "rabin", (keygen, lambda n: 1, ops))
+    monkeypatch.setattr(bench_mod, "_MIN_SAMPLE_SECONDS", 0)
+    n_list, reps = [8, 16, 24], 5
+    rows = run_bench(["rabin"], n_list, reps=reps, seed=0)
+    assert [(r.scheme, r.n, r.reps, r.payload_bytes) for r in rows] == [("rabin", n, reps, 1) for n in n_list]
+    jobs = {(job, n) for n in n_list for job in ("keygen", "encrypt", "decrypt")}
+    prepare, timed = calls[: -reps * len(jobs)], calls[-reps * len(jobs) :]
+    # calibration stops at one item: one draw and one kernel run per batch
+    prepared = ("keygen", "draw", "encrypt", "draw", "seal", "decrypt")
+    assert sorted(prepare) == sorted((op, n) for n in n_list for op in prepared)
+    first_round = timed[: len(jobs)]
+    assert sorted(first_round) == sorted(jobs)
+    assert timed == first_round * reps
+
+
 def test_run_bench_rejects_concurrent_invocation():
     from aabeta import bench as bench_mod
 
