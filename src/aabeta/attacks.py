@@ -20,6 +20,7 @@ Every other attack returns an AttackReport rather than raising on
 failure: the verdict is data, and the same inputs give an equal report.
 """
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -80,21 +81,25 @@ def congruence_params(pub, ct):
     return CongruenceParams(a, b, 1 << (n - 6), 3 << (n - 7))
 
 
-def _solution(pub, c, u, v):
-    """Report fields of (U, V) if U*e_a1 + V^2*e_a2 = C and carries a message pair, else None."""
-    if u * pub.e_a1 + v * v * pub.e_a2 != c:
+# A square is a square modulo each (Cohen, Alg. 1.7.3); 0.03% of non-squares pass all.
+_SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31)
+_SQUARES = {m: frozenset(x * x % m for x in range(m)) for m in _SQUARE_MODULI}
+_BLOCK = 1 << 14  # candidates per filter mask, one bit each
+
+
+def _solution(pub, c, u, v_squared):
+    """Report fields of (U, V), else None. The one recovery check, in order: V^2 > 0, V^2
+    a square mod 64, then isqrt(V^2)^2 = V^2, U*e_a1 + V^2*e_a2 = C, (U >> n, V >> n) a message pair."""
+    if v_squared <= 0 or v_squared % 64 not in _SQUARES[64]:
+        return None
+    v = math.isqrt(v_squared)
+    if v * v != v_squared or u * pub.e_a1 + v_squared * pub.e_a2 != c:
         return None
     try:
         msg = EncodedMessage(u >> pub.n, v >> pub.n, pub.n)
     except ValueError:
         return None
     return {"u": u, "v": v, "m1": msg.m1, "m2": msg.m2}
-
-
-# A square is a square modulo each (Cohen, Alg. 1.7.3); 0.03% of non-squares pass all.
-_SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31)
-_SQUARES = {m: frozenset(x * x % m for x in range(m)) for m in _SQUARE_MODULI}
-_BLOCK = 1 << 14  # candidates per filter mask, one bit each
 
 
 def _square_candidates(s0, step, count):
@@ -123,9 +128,9 @@ def congruence_bruteforce(pub, ct, j_budget):
     its honest range, up to j_budget candidates. Recovers (U, V) -- and
     hence the message pair -- iff the scan reaches the right j.
 
-    A square-residue filter that every square passes guards isqrt. A
-    solution that carries no message pair is passed over. On honest
-    ciphertexts the report, "scanned" (candidates covered) too, is a linear scan's.
+    Candidates that pass a square-residue filter (every square does) go
+    to the recovery check, _solution. On honest ciphertexts the report,
+    "scanned" (candidates covered) too, is a linear scan's.
     """
     par = congruence_params(pub, ct)
     n, e_a1, e_a2 = pub.n, pub.e_a1, pub.e_a2
@@ -139,9 +144,7 @@ def congruence_bruteforce(pub, ct, j_budget):
     scanned = min(window, j_budget)
     s0 = par.b - e_a1 * j_lo
     for t in _square_candidates(s0, e_a1, scanned):
-        s = s0 - e_a1 * t
-        r = math.isqrt(s)
-        if r * r == s and (found := _solution(pub, ct.c, par.a + e_a2 * (j_lo + t), r)):
+        if found := _solution(pub, ct.c, par.a + e_a2 * (j_lo + t), s0 - e_a1 * t):
             scanned = t + 1
             break
     diagnostics = {
@@ -350,11 +353,6 @@ def lll_reduce(basis):
     return b
 
 
-def _nearest_isqrt(x):
-    r = math.isqrt(x)
-    return r + 1 if x - r * r > (r + 1) * (r + 1) - x else r
-
-
 # Short-vector search range for each reduced-row coefficient.
 _COEFF_BOUND = 4
 
@@ -369,11 +367,11 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     LLL (delta = 3/4; Lenstra, Lenstra & Lovasz 1982) gives the first rows
     |c_0|, |c_1| <= 2 lambda_2(L) <= 2 lambda_2(L0) < 4C < T: both in L0.
 
-    The search tries all integer combinations of the zero-tail rows with
-    coefficients up to +/-_COEFF_BOUND, accepting a vector (U, V^2) that
-    reproduces C and whose (U >> n, V >> n) is a message pair. Supplying
-    the true (U, V) adds known-answer diagnostics (target norm, lattice
-    membership). A ciphertext below 1 raises ValueError.
+    The search tries the integer combinations of the zero-tail rows with
+    coefficients up to +/-_COEFF_BOUND, c1 outer and c2 inner, and stops
+    at the first (U, V^2) that passes the recovery check, _solution.
+    Supplying the true (U, V) adds known-answer diagnostics (target norm,
+    lattice membership). A ciphertext below 1 raises ValueError.
     """
     if ct.c < 1:
         raise ValueError("ciphertext must be positive")
@@ -388,19 +386,11 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
 
     found = None
     if len(zero_rows) == 2:
-        r1, r2 = zero_rows
-        for c1 in range(-_COEFF_BOUND, _COEFF_BOUND + 1):
-            for c2 in range(-_COEFF_BOUND, _COEFF_BOUND + 1):
-                if c1 == 0 and c2 == 0:
-                    continue
-                vsq = c1 * r1[1] + c2 * r2[1]
-                if vsq <= 0 or vsq % 64 not in _SQUARES[64]:
-                    continue
-                root = math.isqrt(vsq)
-                if root * root == vsq and (found := _solution(pub, ct.c, c1 * r1[0] + c2 * r2[0], root)):
-                    break
-            if found:
-                break
+        (u1, w1, _), (u2, w2, _) = zero_rows
+        coeffs = range(-_COEFF_BOUND, _COEFF_BOUND + 1)
+        candidates = (_solution(pub, ct.c, c1 * u1 + c2 * u2, c1 * w1 + c2 * w2)
+                      for c1, c2 in itertools.product(coeffs, repeat=2))
+        found = next(filter(None, candidates), None)
 
     diagnostics = {
         "zero_scale_rows": len(zero_rows),
@@ -411,7 +401,7 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
         ),
     }
     if u_true is not None and v_true is not None:
-        diagnostics["solution_norm"] = _nearest_isqrt(u_true**2 + v_true**4)
+        diagnostics["solution_norm"] = (math.isqrt(4 * (u_true**2 + v_true**4)) + 1) // 2
         # (U, V^2, 1) times the basis is (U, V^2, (U*e_a1 + V^2*e_a2 - C)*scale)
         diagnostics["solution_in_lattice"] = u_true * pub.e_a1 + v_true**2 * pub.e_a2 == ct.c
     return AttackReport(
@@ -436,10 +426,7 @@ def factor_from_roots(e_a1, roots):
     if len(roots) != 4:
         raise ValueError("exactly four roots expected")
     for i, j in _CROSS_PAIRS:
-        s = roots[i] + roots[j]
-        if s == 0:
-            continue
-        g = math.gcd(e_a1, s)
+        g = math.gcd(e_a1, roots[i] + roots[j])
         if 1 < g < e_a1:
             resolved = _resolve_square_factor(e_a1, g)
             if resolved:

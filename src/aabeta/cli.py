@@ -245,9 +245,10 @@ def _cmd_rabin_decrypt(args):
         raise InconsistentKey(f"inconsistent Rabin key: {exc}") from exc
     if args.scheme == "redundant":
         c = cipher.parse_ciphertext(_read_text(args.infile)).c
-        payload = rabin.decrypt_redundant(kp, c, args.l)
-        if isinstance(payload, rabin.AmbiguityReport):
-            raise CryptoError(f"ambiguous decryption: {len(payload.roots)} roots carry the tag")
+        payloads = rabin.decrypt_redundant(kp, c, args.l)
+        if len(payloads) > 1:
+            raise CryptoError(f"ambiguous decryption: {len(payloads)} roots carry the tag")
+        payload = payloads[0]
     else:
         fields = parse_fields(_read_text(args.infile), _EXTRABITS_FIELDS)
         payload = rabin.decrypt_extrabits(kp, *(fields[f] for f in _EXTRABITS_FIELDS))

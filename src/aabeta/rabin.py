@@ -2,8 +2,9 @@
 
 Decryption yields four square roots; two disambiguation schemes are
 provided. The redundancy scheme replicates the l least-significant
-payload bits and keeps the roots whose tag checks out (ambiguous with
-small probability); the extra-bits scheme transmits the parity and the
+payload bits and returns the tuple of payloads whose root carries the
+tag: one entry for an unambiguous ciphertext, more with small
+probability. The extra-bits scheme transmits the parity and the
 Jacobi symbol of M, which identify the root uniquely when
 gcd(M, N) = 1.
 """
@@ -16,7 +17,6 @@ from .numtheory import four_roots, gen_prime_3mod4, jacobi, sqrt_mod_p_3mod4
 
 __all__ = [
     "RabinKeyPair",
-    "AmbiguityReport",
     "RedundancyStats",
     "keygen",
     "encrypt",
@@ -44,12 +44,6 @@ class RabinKeyPair(namedtuple("RabinKeyPair", "N p q")):
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make: keep it checked
         return cls(*iterable)
-
-
-class AmbiguityReport(namedtuple("AmbiguityReport", "roots payloads")):
-    """Multiple roots passed the redundancy check."""
-
-    __slots__ = ()
 
 
 class RedundancyStats(namedtuple("RedundancyStats", "trials ambiguous")):
@@ -102,22 +96,19 @@ def encrypt_redundant(n_modulus, payload, l):
 
 
 def decrypt_redundant(kp, c, l):
-    """Unique payload whose roots carry the replicated tag, else a report.
+    """The tuple of payloads, in root order, whose distinct roots carry the tag.
 
-    Returns the payload integer when exactly one root matches; an
-    AmbiguityReport when several do; ValueError unless 0 < l < N.bit_length().
+    One entry for an unambiguous ciphertext, more when several roots match.
+    Raises InvalidCiphertext when none does; ValueError unless 0 < l < N.bit_length().
     """
     if not 1 <= l < kp.N.bit_length():
         raise ValueError("l must lie in [1, N.bit_length())")
     mask = (1 << l) - 1
-    matches = [
-        r for r in dict.fromkeys(decrypt_all(kp, c)) if (r & mask) == (r >> l) & mask
-    ]
-    if not matches:
+    roots = dict.fromkeys(decrypt_all(kp, c))
+    payloads = tuple(r >> l for r in roots if (r & mask) == (r >> l) & mask)
+    if not payloads:
         raise InvalidCiphertext("no root carries the replicated tag")
-    if len(matches) == 1:
-        return matches[0] >> l
-    return AmbiguityReport(tuple(matches), tuple(r >> l for r in matches))
+    return payloads
 
 
 def encrypt_extrabits(n_modulus, m):
@@ -160,10 +151,7 @@ def redundancy_experiment(n, l, trials, rng):
         kp = keygen(n, rng)
         payload = rng.randrange(1, 1 << (2 * n - l))
         c = encrypt_redundant(kp.N, payload, l)
-        result = decrypt_redundant(kp, c, l)
-        if isinstance(result, AmbiguityReport):
-            assert payload in result.payloads
-            ambiguous += 1
-        else:
-            assert result == payload
+        payloads = decrypt_redundant(kp, c, l)
+        assert payload in payloads
+        ambiguous += len(payloads) > 1
     return RedundancyStats(trials, ambiguous)

@@ -6,6 +6,9 @@ absolute determinant); `rational_lll` is the textbook LLL over exact
 `attacks.lll_reduce` must match bit for bit; `linear_congruence_scan`
 takes `math.isqrt` of every candidate, the oracle whose report the
 residue-filtered `attacks.congruence_bruteforce` must match;
+`two_step_solution` is the attack lab's recovery check as two steps, an
+`isqrt` square test and then the (U, V) equation and message-pair test,
+the oracle of the one-step `attacks._solution(pub, c, u, v_squared)`;
 `parse_report_text` reads the `key: value` report that
 `aabeta.cli.report_to_text` writes; `jacobi_decrypt_extrabits` computes
 each root's Jacobi symbol, the oracle of `rabin.decrypt_extrabits`,
@@ -164,6 +167,23 @@ def linear_congruence_scan(pub, ct, j_budget):
         diagnostics=diagnostics,
         recovered=found,
     )
+
+
+def two_step_solution(pub, c, u, v_squared):
+    """Report fields of (U, V) if V^2 is a square, U*e_a1 + V^2*e_a2 = C and
+    (U >> n, V >> n) is a message pair, else None."""
+    if v_squared < 0:  # math.isqrt rejects it
+        return None
+    v = math.isqrt(v_squared)
+    if v * v != v_squared:
+        return None
+    if u * pub.e_a1 + v * v * pub.e_a2 != c:
+        return None
+    try:
+        msg = EncodedMessage(u >> pub.n, v >> pub.n, pub.n)
+    except ValueError:
+        return None
+    return {"u": u, "v": v, "m1": msg.m1, "m2": msg.m2}
 
 
 def jacobi_decrypt_extrabits(kp, c, parity_bit, jacobi_bit):

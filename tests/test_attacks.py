@@ -35,6 +35,7 @@ from reference import (
     linear_congruence_scan,
     oversized_e_a2_instances,
     rational_lll,
+    two_step_solution,
 )
 
 
@@ -196,6 +197,48 @@ def test_attacks_agree_with_decrypt(instance):
     lattice = lattice_attack(kp.public, ct).recovered
     if lattice:
         assert (lattice["m1"], lattice["m2"]) == expected
+
+
+# V^2 draws around each branch of the recovery check, given the pair's V
+_V_SQUARED_DRAWS = {
+    "honest": lambda v: st.just(v * v),
+    "offset": lambda v: st.integers(v * v - 3, v * v + 3),
+    "nonpositive": lambda v: st.integers(max_value=0),
+    "large": lambda v: st.integers(1 << 1000, 1 << 3000),
+    "large-square": lambda v: st.integers(1 << 500, 1 << 1500).map(lambda r: r * r),
+}
+
+
+@st.composite
+def _recovery_candidates(draw, v_squared_draw):
+    """(pub, C, U, V^2) with V^2 from v_squared_draw(V).
+
+    (U, V) is an honest pair or one whose m1 or m2 lies just outside its
+    range; C is solved by (U, V*V) or by (U, V^2).
+    """
+    n = draw(st.integers(min_value=8, max_value=12))
+    pub = generate_keypair(n, random.Random(draw(st.integers(0, 10**6)))).public
+    m1 = draw(_around(1 << 3 * n, 1 << 3 * n + 1))
+    m2 = draw(_around(1 << n - 2, 1 << n - 1))
+    k1, k2 = (draw(st.integers((1 << n - 1) + 1, (1 << n) - 1)) for _ in range(2))
+    u, v = (m1 << n) + k1, (m2 << n) + k2
+    v_squared = draw(v_squared_draw(v))
+    solved = draw(st.booleans())
+    c = u * pub.e_a1 + (v_squared if solved else v * v) * pub.e_a2
+    in_range = (1 << 3 * n) < m1 < (1 << 3 * n + 1) and (1 << n - 2) < m2 < (1 << n - 1)
+    event("C solved by (U, V^2)" if solved else "C solved by (U, V*V)")
+    event("message pair" if in_range else "m1 or m2 out of range")
+    return pub, c, u, v_squared
+
+
+@pytest.mark.parametrize("kind", _V_SQUARED_DRAWS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_recovery_check_matches_the_two_step_check(kind, data):
+    candidate = data.draw(_recovery_candidates(_V_SQUARED_DRAWS[kind]))
+    expected = two_step_solution(*candidate)
+    event("recovered" if expected else "rejected")
+    assert attacks._solution(*candidate) == expected
 
 
 # budgets and counts on either side of the 2^14-candidate filter block
@@ -749,6 +792,13 @@ def test_factor_from_roots_cross_sum_p_squared():
     # the first cross-sum is p^2, whose gcd with e_a1 = p^2*q is p^2 itself
     roots = [vectors.P16**2, 0, 0, 0]
     assert factor_from_roots(vectors.E_A1_16, roots) == (vectors.P16, vectors.Q16)
+
+
+def test_factor_from_roots_divisor_that_does_not_resolve():
+    # 105 = 3 * 5 * 7 is no p^2*q: the cross-sum 3 gives g = 3, but neither
+    # gcd(3, 35) nor the roots of 3 or 35 yield a p, so every pair fails
+    with pytest.raises(FactoringFailure):
+        factor_from_roots(105, [3, 0, 0, 0])
 
 
 def test_factor_from_roots_failure():

@@ -766,8 +766,7 @@ def test_rabin_ambiguity_message_prints_no_root_in_decimal(tmp_path, capsys):
     # Mersenne primes, both 3 (mod 4): the roots have over 1,000 decimal digits
     p, q = (1 << 1279) - 1, (1 << 2203) - 1
     c = rabin.encrypt_redundant(p * q, 1, 1)
-    assert isinstance(rabin.decrypt_redundant(rabin.RabinKeyPair(p * q, p, q), c, 1),
-                      rabin.AmbiguityReport)
+    assert len(rabin.decrypt_redundant(rabin.RabinKeyPair(p * q, p, q), c, 1)) == 2
     priv, ct = tmp_path / "rpriv.txt", tmp_path / "rct.txt"
     priv.write_text(format_fields([("n", 2202), ("p", p), ("q", q)]))
     ct.write_text(format_ciphertext(Ciphertext(c)))

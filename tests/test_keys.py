@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aabeta.errors import InconsistentKey
+from aabeta import keys
+from aabeta.errors import GenerationFailure, InconsistentKey
 from aabeta.keys import (
     KeyPair,
     PrivateKey,
@@ -134,6 +136,24 @@ def test_validation_flags_p_and_q_sharing_a_factor(strict):
     assert "p-q-coprime" in names
     if not strict:
         assert names == ["p-q-coprime"]
+
+
+def test_validation_flags_d_at_or_below_the_coppersmith_floor():
+    # the smallest d >= 3 coprime to pq, and its inverse shifted as generate_keypair shifts it
+    n = 16
+    kp = generate_keypair(n, random.Random(3))
+    p, q, pq = kp.private.p, kp.private.q, kp.private.pq
+    d = next(d for d in itertools.count(3) if math.gcd(d, pq) == 1)
+    e, lo = pow(d, -1, pq), 1 << (3 * n + 4)
+    e += ((lo - e) // pq + 1) * pq
+    weak = KeyPair(PublicKey(n, kp.public.e_a1, e), PrivateKey(p, q, d))
+    assert validate_keypair(weak, strict=True).violations == ["d-floor: d not above e_a1^(4/9)"]
+
+
+def test_generate_raises_when_d_sampling_runs_out(monkeypatch):
+    monkeypatch.setattr(keys, "_D_RETRIES", 0)
+    with pytest.raises(GenerationFailure, match="^could not sample a decryption exponent$"):
+        generate_keypair(16, random.Random(0))
 
 
 def test_check_public_key_needs_n_at_least_8_and_3n_bit_coefficients():

@@ -87,11 +87,7 @@ def test_redundant_round_trip():
         kp = rabin.keygen(12, rng)
         payload = rng.randrange(1, 1 << 14)
         c = rabin.encrypt_redundant(kp.N, payload, 8)
-        result = rabin.decrypt_redundant(kp, c, 8)
-        if isinstance(result, rabin.AmbiguityReport):
-            assert payload in result.payloads
-        else:
-            assert result == payload
+        assert payload in rabin.decrypt_redundant(kp, c, 8)
 
 
 def test_redundant_overflow():
@@ -116,7 +112,7 @@ def test_redundant_rejects_bad_inputs(payload, l, reason):
 
 def test_redundant_ambiguity_found_by_exhaustive_search():
     # search tiny keys for a payload whose tagged square has a second
-    # matching root, then check the report lists it
+    # matching root, then check both payloads come from tagged roots
     found = None
     for p, q in ((7, 11), (11, 19), (19, 23), (23, 31)):
         kp = rabin.RabinKeyPair(p * q, p, q)
@@ -125,24 +121,25 @@ def test_redundant_ambiguity_found_by_exhaustive_search():
             m = (payload << l) | (payload & 3)
             if m >= kp.N:
                 break
-            result = rabin.decrypt_redundant(kp, rabin.encrypt(kp.N, m), l)
-            if isinstance(result, rabin.AmbiguityReport) and len(result.roots) == 2:
-                found = (kp, payload, result)
+            c = rabin.encrypt(kp.N, m)
+            payloads = rabin.decrypt_redundant(kp, c, l)
+            if len(payloads) == 2:
+                found = (kp, payload, c, payloads)
                 break
         if found:
             break
     assert found is not None
-    kp, payload, report = found
-    assert payload in report.payloads
-    mask = (1 << 2) - 1
-    for root in report.roots:
-        assert (root & mask) == (root >> 2) & mask
+    kp, payload, c, payloads = found
+    assert payload in payloads
+    roots = rabin.decrypt_all(kp, c)
+    for other in payloads:
+        assert (other << 2) | (other & 3) in roots  # the root that carries its tag
 
 
 def test_redundant_zero_payload():
     kp = rabin.RabinKeyPair(77, 7, 11)
-    result = rabin.decrypt_redundant(kp, 0, 2)
-    assert result == 0 or isinstance(result, rabin.AmbiguityReport)
+    # all four roots of 0 are 0, counted once
+    assert rabin.decrypt_redundant(kp, 0, 2) == (0,)
 
 
 def test_redundancy_failure_rate_statistical():

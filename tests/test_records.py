@@ -19,7 +19,6 @@ RECORDS = [
     (keys.KeyPair, {"public": keys.PublicKey(8, 1, 2), "private": keys.PrivateKey(7, 11, 3)}),
     (keys.ValidationReport, {"violations": ["p-mod4: p != 3 (mod 4)"]}),
     (rabin.RabinKeyPair, {"N": 77, "p": 7, "q": 11}),
-    (rabin.AmbiguityReport, {"roots": (1, 2), "payloads": (3, 4)}),
     (rabin.RedundancyStats, {"trials": 4, "ambiguous": 1}),
     (attacks.CongruenceParams, {"a": 1, "b": 2, "window_u": 3, "window_v": 4}),
     (attacks.AttackReport, {"attack": "lattice", "verdict": "recovered", "params": {"n": 8},
