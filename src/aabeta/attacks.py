@@ -420,35 +420,21 @@ def factor_from_roots(e_a1, roots):
     """Recover (p, q) with e_a1 = p^2*q from the four square roots.
 
     Cross-sums of roots are divisible by exactly one of the primes, so
-    gcd(e_a1, V_i + V_j) exposes a nontrivial divisor; the scan covers
-    enough pairs to work on any ordering of the roots.
+    g = gcd(e_a1, V_i + V_j) is p, q, p^2 or p*q for some scanned pair,
+    whatever the order of the roots. For each g with 1 < g < e_a1 the
+    candidates are gcd(g, e_a1/g), then the exact square roots of g and
+    of e_a1/g, so each one's square divides e_a1; the first p > 1 with
+    1 < e_a1 // p^2 != p is returned.
     """
     if len(roots) != 4:
         raise ValueError("exactly four roots expected")
     for i, j in _CROSS_PAIRS:
         g = math.gcd(e_a1, roots[i] + roots[j])
         if 1 < g < e_a1:
-            resolved = _resolve_square_factor(e_a1, g)
-            if resolved:
-                return resolved
+            h = e_a1 // g
+            exact_roots = (r for x in (g, h) if (r := math.isqrt(x)) * r == x)
+            for p in (math.gcd(g, h), *exact_roots):
+                q = e_a1 // (p * p)
+                if p > 1 and 1 < q != p:
+                    return p, q
     raise FactoringFailure("no root cross-sum shares a usable factor with the key")
-
-
-def _resolve_square_factor(e_a1, g):
-    # g is a nontrivial divisor of e_a1 = p^2*q: one of p, q, p^2, p*q
-    h = e_a1 // g
-    candidates = []
-    t = math.gcd(g, h)
-    if t > 1:
-        candidates.append(t)  # g is p or p*q
-    r = math.isqrt(g)
-    if r > 1 and r * r == g:
-        candidates.append(r)  # g is p^2
-    r = math.isqrt(h)
-    if r > 1 and r * r == h:
-        candidates.append(r)  # g is q, so h is p^2
-    for p in candidates:
-        rest, rem = divmod(e_a1, p * p)
-        if rem == 0 and rest > 1 and rest != p:
-            return p, rest
-    return None

@@ -132,11 +132,7 @@ def _aabeta_ops(kp, n, payload_bytes, rng):
             sink ^= u * e_a1 + v * v * e_a2
         return sink
 
-    def dec_kernel(items):
-        for ct in items:
-            cipher.decrypt(kp, ct)
-
-    return draw, seal, enc_kernel, dec_kernel
+    return draw, seal, enc_kernel, partial(cipher.decrypt, kp)
 
 
 def _int_draw(payload_bytes, rng):
@@ -144,17 +140,13 @@ def _int_draw(payload_bytes, rng):
 
 
 def _rsa_ops(kp, n, payload_bytes, rng):
-    modulus, e, d = kp.modulus, kp.e, kp.d
+    modulus, e = kp.modulus, kp.e
 
     def enc_kernel(items):
         for m in items:
             pow(m, e, modulus)
 
-    def dec_kernel(items):
-        for c in items:
-            pow(c, d, modulus)
-
-    return _int_draw(payload_bytes, rng), partial(rsa_encrypt, kp), enc_kernel, dec_kernel
+    return _int_draw(payload_bytes, rng), partial(rsa_encrypt, kp), enc_kernel, partial(pow, exp=kp.d, mod=modulus)
 
 
 def _rabin_ops(kp, n, payload_bytes, rng):
@@ -164,17 +156,13 @@ def _rabin_ops(kp, n, payload_bytes, rng):
         for m in items:
             m * m % modulus
 
-    def dec_kernel(items):
-        for c in items:
-            rabin.decrypt_all(kp, c)
-
-    return _int_draw(payload_bytes, rng), partial(rabin.encrypt, modulus), enc_kernel, dec_kernel
+    return _int_draw(payload_bytes, rng), partial(rabin.encrypt, modulus), enc_kernel, partial(rabin.decrypt_all, kp)
 
 
 # scheme -> (keygen(n, rng), payload_bytes(n), ops(kp, n, payload_bytes, rng)).
-# ops returns (draw, seal, enc_kernel, dec_kernel): draw() makes one
-# encryption input from the row's rng, seal(item) turns it into a
-# decryption input, and each kernel runs over one batch of inputs.
+# ops returns (draw, seal, enc_kernel, decrypt): draw() makes one input from
+# the row's rng, seal(item) encrypts it, enc_kernel runs over one batch, and
+# every row times decrypt(item), RSA's pow(c, d, N), once per item in one loop.
 _SCHEME_TABLE = {
     "aabeta": (generate_keypair, codec.capacity_bytes, _aabeta_ops),
     "rabin": (rabin.keygen, lambda n: (2 * n) // 8, _rabin_ops),
@@ -188,7 +176,8 @@ def _prepare_row(scheme, n, seed):
     rng = random.Random(f"{seed}:{scheme}:{n}")
     keygen, payload_size, ops = _SCHEME_TABLE[scheme]
     payload_bytes = payload_size(n)
-    draw, seal, enc_kernel, dec_kernel = ops(keygen(n, rng), n, payload_bytes, rng)
+    draw, seal, enc_kernel, decrypt = ops(keygen(n, rng), n, payload_bytes, rng)
+    dec_kernel = partial(_decrypt_each, decrypt)
     enc_items = _calibrate(draw, enc_kernel)
     dec_items = _calibrate(lambda: seal(draw()), dec_kernel)
     jobs = (
@@ -197,3 +186,8 @@ def _prepare_row(scheme, n, seed):
         (partial(dec_kernel, dec_items), len(dec_items), []),
     )
     return scheme, n, payload_bytes, jobs
+
+
+def _decrypt_each(decrypt, items):
+    for item in items:
+        decrypt(item)

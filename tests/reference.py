@@ -23,6 +23,10 @@ the strong Lucas test on the U/V/Q^k recurrences, the oracle of the
 ring-form `numtheory._strong_lucas`. `reference_decrypt` is the
 four-root decryption (both square roots, CRT combine, then the filters),
 the oracle of `cipher.decrypt`, which lifts one root mod p to p^2.
+`reference_factor_from_roots` and `_resolve_square_factor` are the
+root-pair factoring as two functions, the second testing each candidate
+by `divmod` and separate `> 1` checks, the oracle of the one-loop
+`attacks.factor_from_roots`.
 """
 
 import math
@@ -37,7 +41,7 @@ from aabeta.attacks import (
 )
 from aabeta.cipher import encrypt_trace, sample_ephemerals
 from aabeta.codec import EncodedMessage, capacity_bytes, encode
-from aabeta.errors import InvalidCiphertext, ParameterViolation
+from aabeta.errors import FactoringFailure, InvalidCiphertext, ParameterViolation
 from aabeta.keys import KeyPair, PublicKey, generate_keypair
 from aabeta.numtheory import four_roots, jacobi, sqrt_mod_p_3mod4
 from aabeta.rabin import RabinKeyPair, decrypt_all
@@ -325,3 +329,44 @@ def reference_decrypt(kp, ct):
         raise InvalidCiphertext(
             "the accepted root gives a message outside the message ranges"
         ) from exc
+
+
+_CROSS_PAIRS = ((0, 2), (0, 1), (1, 3), (2, 3))
+
+
+def reference_factor_from_roots(e_a1, roots):
+    """Recover (p, q) with e_a1 = p^2*q from the four square roots.
+
+    Cross-sums of roots are divisible by exactly one of the primes, so
+    gcd(e_a1, V_i + V_j) exposes a nontrivial divisor; the scan covers
+    enough pairs to work on any ordering of the roots.
+    """
+    if len(roots) != 4:
+        raise ValueError("exactly four roots expected")
+    for i, j in _CROSS_PAIRS:
+        g = math.gcd(e_a1, roots[i] + roots[j])
+        if 1 < g < e_a1:
+            resolved = _resolve_square_factor(e_a1, g)
+            if resolved:
+                return resolved
+    raise FactoringFailure("no root cross-sum shares a usable factor with the key")
+
+
+def _resolve_square_factor(e_a1, g):
+    # g is a nontrivial divisor of e_a1 = p^2*q: one of p, q, p^2, p*q
+    h = e_a1 // g
+    candidates = []
+    t = math.gcd(g, h)
+    if t > 1:
+        candidates.append(t)  # g is p or p*q
+    r = math.isqrt(g)
+    if r > 1 and r * r == g:
+        candidates.append(r)  # g is p^2
+    r = math.isqrt(h)
+    if r > 1 and r * r == h:
+        candidates.append(r)  # g is q, so h is p^2
+    for p in candidates:
+        rest, rem = divmod(e_a1, p * p)
+        if rem == 0 and rest > 1 and rest != p:
+            return p, rest
+    return None

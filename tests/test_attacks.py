@@ -35,6 +35,7 @@ from reference import (
     linear_congruence_scan,
     oversized_e_a2_instances,
     rational_lll,
+    reference_factor_from_roots,
     two_step_solution,
 )
 
@@ -799,6 +800,44 @@ def test_factor_from_roots_divisor_that_does_not_resolve():
     # gcd(3, 35) nor the roots of 3 or 35 yield a p, so every pair fails
     with pytest.raises(FactoringFailure):
         factor_from_roots(105, [3, 0, 0, 0])
+
+
+@st.composite
+def _honest_root_sets(draw):
+    """(e_a1, roots): the four roots mod pq of V^2 for a random V, V = p*k
+    or V = q*k, on an honest key at n in [8, 64], in a random order."""
+    n = draw(st.integers(min_value=8, max_value=64))
+    kp = generate_keypair(n, random.Random(draw(st.integers(0, 10**6))))
+    p, q, pq = kp.private.p, kp.private.q, kp.private.pq
+    kind = draw(st.sampled_from(("random", "p*k", "q*k")))
+    factor = {"random": 1, "p*k": p, "q*k": q}[kind]
+    v = factor * draw(st.integers(1, pq // factor - 1))
+    w = v * v % pq
+    roots = four_roots(sqrt_mod_p_3mod4(w % p, p), sqrt_mod_p_3mod4(w % q, q), p, q)
+    event(f"V = {kind}")
+    return kp.public.e_a1, draw(st.permutations(roots))
+
+
+# e_a1 up to 2^40, half of the draws with a square factor t^2
+_CRAFTED_E_A1 = st.integers(0, 1 << 40) | st.builds(
+    lambda t, r: t * t * r, st.integers(0, 1 << 10), st.integers(0, 1 << 20)
+)
+_CRAFTED_ROOTS = st.lists(st.integers(-50, 299), min_size=4, max_size=4)
+
+
+def _factoring_outcome(factor, e_a1, roots):
+    try:
+        return factor(e_a1, list(roots))
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(deadline=None)
+@given(instance=_honest_root_sets() | st.tuples(_CRAFTED_E_A1, _CRAFTED_ROOTS))
+def test_factor_from_roots_matches_the_two_function_reference(instance):
+    expected = _factoring_outcome(reference_factor_from_roots, *instance)
+    event("factored" if isinstance(expected, tuple) else expected.__name__)
+    assert _factoring_outcome(factor_from_roots, *instance) == expected
 
 
 def test_factor_from_roots_failure():
