@@ -132,6 +132,8 @@ def congruence_bruteforce(pub, ct, j_budget):
     to the recovery check, _solution. On honest ciphertexts the report,
     "scanned" (candidates covered) too, is a linear scan's.
     """
+    if j_budget < 0:
+        raise ValueError("j_budget must be non-negative")
     par = congruence_params(pub, ct)
     n, e_a1, e_a2 = pub.n, pub.e_a1, pub.e_a2
     v_lo = (1 << (2 * n - 2)) + 1

@@ -26,7 +26,9 @@ the oracle of `cipher.decrypt`, which lifts one root mod p to p^2.
 `reference_factor_from_roots` and `_resolve_square_factor` are the
 root-pair factoring as two functions, the second testing each candidate
 by `divmod` and separate `> 1` checks, the oracle of the one-loop
-`attacks.factor_from_roots`.
+`attacks.factor_from_roots`. `reference_validate_keypair` checks all 16
+key rules, four of them implied by the others, the oracle of the
+minimal rule set in `keys.validate_keypair`.
 """
 
 import math
@@ -42,8 +44,8 @@ from aabeta.attacks import (
 from aabeta.cipher import encrypt_trace, sample_ephemerals
 from aabeta.codec import EncodedMessage, capacity_bytes, encode
 from aabeta.errors import FactoringFailure, InvalidCiphertext, ParameterViolation
-from aabeta.keys import KeyPair, PublicKey, generate_keypair
-from aabeta.numtheory import four_roots, jacobi, sqrt_mod_p_3mod4
+from aabeta.keys import KeyPair, PublicKey, ValidationReport, generate_keypair
+from aabeta.numtheory import four_roots, is_probable_prime, jacobi, sqrt_mod_p_3mod4
 from aabeta.rabin import RabinKeyPair, decrypt_all
 
 
@@ -370,3 +372,53 @@ def _resolve_square_factor(e_a1, g):
         if rem == 0 and rest > 1 and rest != p:
             return p, rest
     return None
+
+
+def reference_validate_keypair(kp, strict=True):
+    """Check key-pair invariants, returning a report of all violations.
+
+    Relaxed mode (strict=False) checks only algebraic consistency:
+    e_a1 = p^2*q, e_a2*d = 1 (mod p*q), coprime public coefficients,
+    p = q = 3 (mod 4) and coprime p and q. Strict mode adds primality
+    and every range bound the generator guarantees.
+    """
+    pub, priv = kp.public, kp.private
+    n, e_a1, e_a2 = pub.n, pub.e_a1, pub.e_a2
+    p, q, d = priv.p, priv.q, priv.d
+    pq = p * q
+    bad = []
+    if e_a1 != p * p * q:
+        bad.append("e1-consistency: e_a1 != p^2*q")
+    if pq == 0 or e_a2 * d % pq != 1:
+        bad.append("d-inverse: e_a2*d != 1 (mod p*q)")
+    if math.gcd(e_a1, e_a2) != 1:
+        bad.append("e1-e2-coprime: gcd(e_a1, e_a2) != 1")
+    if p % 4 != 3:
+        bad.append("p-mod4: p != 3 (mod 4)")
+    if q % 4 != 3:
+        bad.append("q-mod4: q != 3 (mod 4)")
+    if math.gcd(p, q) != 1:
+        bad.append("p-q-coprime: gcd(p, q) != 1")
+    if strict:
+        if not is_probable_prime(p):
+            bad.append("p-prime: p is not prime")
+        if not is_probable_prime(q):
+            bad.append("q-prime: q is not prime")
+        for tag, name, x, a, b, bounds in (
+            ("p", "p", p, n, n + 1, "2^n, 2^(n+1)"),
+            ("q", "q", q, n, n + 1, "2^n, 2^(n+1)"),
+            ("e1", "e_a1", e_a1, 3 * n, 3 * n + 3, "2^(3n), 2^(3n+3)"),
+            ("e2", "e_a2", e_a2, 3 * n + 4, 3 * n + 6, "2^(3n+4), 2^(3n+6)"),
+            ("pq", "p*q", pq, 2 * n, 2 * n + 2, "2^(2n), 2^(2n+2)"),
+        ):
+            # 2^a < x < 2^b by bit lengths: no power of two is built from the file's n,
+            # and the message names the bounds in n, which may be too long for decimal
+            if not (x > 0 and (x - 1).bit_length() > a and x.bit_length() <= b):
+                bad.append(f"{tag}-range: {name} not in ({bounds})")
+        if d**9 <= e_a1**4:
+            bad.append("d-floor: d not above e_a1^(4/9)")
+        if not 1 < d < pq:
+            bad.append("d-range: d not in (1, p*q)")
+        if math.gcd(d, pq) != 1:
+            bad.append("d-coprime: gcd(d, p*q) != 1")
+    return ValidationReport(bad)

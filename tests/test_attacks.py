@@ -131,6 +131,12 @@ def test_congruence_bruteforce_budget_too_small_at_n64():
     assert report.diagnostics["scanned"] == 1_000_000
 
 
+def test_congruence_bruteforce_rejects_a_negative_budget():
+    kp, trace = _random_instance(16, 0)
+    with pytest.raises(ValueError, match="^j_budget must be non-negative$"):
+        congruence_bruteforce(kp.public, trace.ciphertext, -5)
+
+
 def _full_scan(pub, ct):
     """The congruence scan with a budget of its whole j-window."""
     window = congruence_bruteforce(pub, ct, 0).diagnostics["j_window"]

@@ -703,6 +703,33 @@ def test_strict_validate_rejects_a_key_sized_strong_pseudoprime(tmp_path, capsys
     assert run("validate", "--pub", str(pub), "--priv", str(priv), "--relaxed") == 0
 
 
+def _n4_key_files(tmp_path):
+    # consistent and in range for n = 4, which the generator refuses
+    pub, priv = tmp_path / "pub.txt", tmp_path / "priv.txt"
+    pub.write_text("n = 4\neA1 = 0x206f\neA2 = 0x1019c\n")
+    priv.write_text("n = 4\np = 19\nq = 23\nd = 56\n")
+    return pub, priv
+
+
+def test_strict_validate_rejects_n_below_8(tmp_path, capsys):
+    pub, priv = _n4_key_files(tmp_path)
+    assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 4
+    assert capsys.readouterr().err == "n-range: n below 8\n"
+    assert run("validate", "--pub", str(pub), "--priv", str(priv), "--relaxed") == 0
+
+
+def test_encrypt_names_both_public_key_size_conditions(tmp_path, capsys):
+    # e_a1 has 14 bits, above 3n = 12, so only n < 8 fails here
+    pub, _ = _n4_key_files(tmp_path)
+    payload = tmp_path / "m.bin"
+    payload.write_bytes(b"hi")
+    assert run("encrypt", "--pub", str(pub), "--in", str(payload),
+               "--out", str(tmp_path / "ct.txt")) == 4
+    assert capsys.readouterr().err == (
+        "error: public key too small: need n >= 8 and e_a1, e_a2 of 3n bits or more\n"
+    )
+
+
 def test_key_files_disagreeing_on_n_exit_4(keys16, tmp_path, capsys):
     pub, priv = keys16
     priv.write_text(priv.read_text().replace("n = 0x10", "n = 0x11"))

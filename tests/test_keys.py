@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aabeta import keys
+from aabeta import keys, rabin
 from aabeta.errors import GenerationFailure, InconsistentKey
 from aabeta.keys import (
     KeyPair,
@@ -23,6 +23,7 @@ from aabeta.keys import (
 )
 
 import vectors
+from reference import reference_validate_keypair
 
 
 def test_generated_e_a1_is_p_squared_q():
@@ -148,6 +149,132 @@ def test_validation_flags_d_at_or_below_the_coppersmith_floor():
     e += ((lo - e) // pq + 1) * pq
     weak = KeyPair(PublicKey(n, kp.public.e_a1, e), PrivateKey(p, q, d))
     assert validate_keypair(weak, strict=True).violations == ["d-floor: d not above e_a1^(4/9)"]
+
+
+_RELAXED_RULES = ("e1-consistency", "d-inverse", "p-mod4", "q-mod4", "p-q-coprime")
+# rules of the oracle that the kept rules imply, so validate_keypair leaves them out
+_IMPLIED_RULES = ("e1-e2-coprime", "d-coprime", "pq-range", "e1-range")
+
+
+def _rule_names(report):
+    return [v.partition(":")[0] for v in report.violations]
+
+
+def _is_prime(x):
+    return x > 1 and all(x % f for f in range(2, math.isqrt(x) + 1))
+
+
+def _with_d(n, p, q, d):
+    """The key on (p, q, d) with e_a2 shifted into range as generate_keypair shifts it."""
+    pq, lo = p * q, 1 << (3 * n + 4)
+    e = pow(d, -1, pq)
+    return KeyPair(PublicKey(n, p * p * q, e + ((lo - e) // pq + 1) * pq), PrivateKey(p, q, d))
+
+
+def _rekeyed(n, p, q, rng=None):
+    """The key on (p, q) with d drawn as generate_keypair draws it."""
+    rng, pq = rng or random.Random(0), p * q
+    d = next(d for d in iter(lambda: rng.randrange(2, pq), None)
+             if d**9 > (p * p * q) ** 4 and math.gcd(d, pq) == 1)
+    return _with_d(n, p, q, d)
+
+
+def _first(start, ok):
+    """The first x = start, start + 4, ... that passes ok."""
+    return next(x for x in itertools.count(start, 4) if ok(x))
+
+
+_BASE = generate_keypair(16, random.Random(3))
+_P, _Q, _D = _BASE.private
+_PQ = _P * _Q
+
+
+def _changed(e_a1=0, e_a2=0, d=0):
+    """The base key with e_a1, e_a2 and d moved by the given amounts."""
+    pub = _BASE.public
+    return KeyPair(PublicKey(16, pub.e_a1 + e_a1, pub.e_a2 + e_a2), PrivateKey(_P, _Q, _D + d))
+
+
+# one key per rule, whose strict report is that rule alone
+_WITNESSES = {
+    "e1-consistency": lambda: _changed(e_a1=1),
+    "d-inverse": lambda: _changed(e_a2=2),
+    "p-mod4": lambda: _rekeyed(16, _first((1 << 16) + 1, _is_prime), _Q),
+    "q-mod4": lambda: _rekeyed(16, _P, _first((1 << 16) + 1, _is_prime)),
+    "p-q-coprime": lambda: _rekeyed(16, _P, _P),
+    "n-range": lambda: KeyPair(PublicKey(4, 0x206F, 0x1019C), PrivateKey(19, 23, 56)),
+    "p-prime": lambda: _rekeyed(
+        16, _first((1 << 16) + 3, lambda x: not _is_prime(x) and math.gcd(x, _Q) == 1), _Q),
+    "q-prime": lambda: _rekeyed(
+        16, _P, _first((1 << 16) + 3, lambda x: not _is_prime(x) and math.gcd(x, _P) == 1)),
+    "p-range": lambda: _rekeyed(16, _first((1 << 17) + 3, _is_prime), _Q),
+    "q-range": lambda: _rekeyed(16, _P, _first((1 << 15) + 3, _is_prime)),
+    "e2-range": lambda: _changed(e_a2=_PQ << 64),
+    # the smallest d >= 3 coprime to p*q, as in test_validation_flags_d_at_or_below_the_coppersmith_floor
+    "d-floor": lambda: _with_d(16, _P, _Q, 3),
+    "d-range": lambda: _changed(d=_PQ),
+}
+
+
+@pytest.mark.parametrize("rule", list(_WITNESSES))
+def test_each_rule_is_the_only_violation_of_its_witness(rule):
+    kp = _WITNESSES[rule]()
+    assert _rule_names(validate_keypair(kp, strict=True)) == [rule]
+    assert _rule_names(validate_keypair(kp, strict=False)) == ([rule] if rule in _RELAXED_RULES else [])
+
+
+def _perturbations(x, pq):
+    return st.one_of(
+        st.integers(-8, 8).map(lambda k: max(0, x + k)),
+        st.integers(2, 8).map(lambda k: x * k),
+        st.just(0),
+        st.integers(-4, 4).map(lambda k: max(0, x + k * pq)),
+        st.integers(0, x.bit_length()).map(lambda i: x ^ (1 << i)),
+    )
+
+
+def _keypair(fields):
+    return KeyPair(PublicKey(*fields[:3]), PrivateKey(*fields[3:]))
+
+
+@st.composite
+def _perturbed_keypairs(draw, n_min=8, changes=(1, 3)):
+    """A key (generated at n >= 8, else built on rabin.keygen's primes) with fields perturbed."""
+    n = draw(st.integers(n_min, 24))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if n >= 8:
+        kp = generate_keypair(n, rng)
+    else:
+        primes = rabin.keygen(n, rng)
+        kp = _rekeyed(n, primes.p, primes.q, rng)
+    fields = [*kp.public, *kp.private]
+    changed = draw(st.lists(st.integers(0, 5), min_size=changes[0], max_size=changes[1], unique=True))
+    for i in changed:
+        fields[i] = draw(_perturbations(fields[i], kp.private.pq))
+    return _keypair(fields)
+
+
+_SMALL_KEYPAIRS = st.tuples(st.integers(0, 40), *[st.integers(0, 2**16)] * 5).map(_keypair)
+
+
+@settings(deadline=None)
+@given(st.one_of(_perturbed_keypairs(), _SMALL_KEYPAIRS), st.booleans())
+@example(_WITNESSES["n-range"](), True)
+@example(_keypair((16, 0, 0, 0, 0, 0)), True)
+def test_reports_are_the_oracle_without_the_implied_rules(kp, strict):
+    expected = [v for v in reference_validate_keypair(kp, strict).violations
+                if v.partition(":")[0] not in _IMPLIED_RULES]
+    if strict and kp.public.n < 8:
+        # first in the strict block, after the relaxed rules' lines
+        expected.insert(sum(v.partition(":")[0] in _RELAXED_RULES for v in expected), "n-range: n below 8")
+    assert validate_keypair(kp, strict).violations == expected
+
+
+@settings(deadline=None)
+@given(_perturbed_keypairs(n_min=4, changes=(0, 1)))
+def test_keys_passing_strict_validation_pass_the_public_key_check(kp):
+    if validate_keypair(kp, strict=True).valid:
+        check_public_key(kp.public)
 
 
 def test_generate_raises_when_d_sampling_runs_out(monkeypatch):

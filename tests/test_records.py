@@ -62,12 +62,6 @@ def test_attack_reports_get_their_own_dicts():
                 id(second.diagnostics)}) == 4
 
 
-def test_validation_reports_get_their_own_lists():
-    first, second = keys.ValidationReport(), keys.ValidationReport()
-    assert first.valid and first.violations == []
-    assert first.violations is not second.violations
-
-
 @pytest.mark.parametrize(
     "record, change",
     [(codec.EncodedMessage((1 << 24) + 1, 65, 8), {"m2": 64}),
