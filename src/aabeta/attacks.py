@@ -49,27 +49,16 @@ VERDICT_INFEASIBLE = "infeasible-by-bounds"
 VERDICT_NOT_RECOVERED = "not-recovered"
 
 
-class CongruenceParams(namedtuple("CongruenceParams", "a b window_u window_v")):
-    """Parametric solution data: U = a + e_a2*j and V^2 = b - e_a1*j.
+CongruenceParams = namedtuple("CongruenceParams", "a b window_u window_v")
+AttackReport = namedtuple("AttackReport", "attack verdict params diagnostics recovered")
+
+
+def congruence_params(pub, ct):
+    """Base point (a, b) of C's solutions U = a + e_a2*j, V^2 = b - e_a1*j, and the scan windows.
 
     window_u and window_v are the guaranteed candidate counts 2^(n-6)
     and 3*2^(n-7) for the two scans.
     """
-
-    __slots__ = ()
-
-
-class AttackReport(namedtuple("AttackReport", "attack verdict params diagnostics recovered")):
-    __slots__ = ()
-
-    def __new__(cls, attack, verdict, params=None, diagnostics=None, recovered=None):
-        # a fresh dict per report, never a shared default
-        return super().__new__(cls, attack, verdict, {} if params is None else params,
-                               {} if diagnostics is None else diagnostics, recovered)
-
-
-def congruence_params(pub, ct):
-    """Base point (a, b) of the parametric solution family and the scan windows."""
     try:
         inv = pow(pub.e_a1, -1, pub.e_a2)
     except ValueError as exc:
@@ -195,6 +184,7 @@ def coppersmith_feasibility(pub, d=None):
             "v_min": v_min,
             "sqrt_e_a1": math.isqrt(e_a1),
         },
+        recovered=None,
     )
 
 

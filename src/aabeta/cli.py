@@ -7,6 +7,7 @@ main maps exceptions to these codes through one ordered table, _EXIT_CODES.
 """
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -85,8 +86,13 @@ def _load_usable_keypair(pub_path, priv_path):
     return kp
 
 
+def _rng(seed):
+    """random.Random(seed) for reproducible vectors; without a seed, the OS's randomness."""
+    return random.SystemRandom() if seed is None else random.Random(seed)
+
+
 def _cmd_keygen(args):
-    kp = generate_keypair(args.n, random.Random(args.seed))
+    kp = generate_keypair(args.n, _rng(args.seed))
     _write_text(args.out_pub, format_public_key(kp.public))
     _write_text(args.out_priv, format_private_key(kp.private, kp.public.n))
 
@@ -99,7 +105,7 @@ def _cmd_encrypt(args):
         eph = cipher.EphemeralPair(ka["k1"], ka["k2"])
     else:
         msg = codec.encode(Path(args.infile).read_bytes(), pub.n)
-        eph = cipher.sample_ephemerals(pub.n, random.Random(args.seed))
+        eph = cipher.sample_ephemerals(pub.n, _rng(args.seed))
     ct = cipher.encrypt_trace(pub, msg, eph).ciphertext
     _write_text(args.out, cipher.format_ciphertext(ct))
 
@@ -188,7 +194,7 @@ def _cmd_attack(args):
         vals = parse_fields(_read_text(_required(args, "roots")), fields)
         p, q = attacks.factor_from_roots(pub.e_a1, [vals[f] for f in fields])
         report = attacks.AttackReport("factor-from-roots", attacks.VERDICT_RECOVERED,
-                                      params={"n": pub.n}, recovered={"p": p, "q": q})
+                                      {"n": pub.n}, {}, {"p": p, "q": q})
     _emit(args.report, report_to_text(report, (time.perf_counter() - t0) * 1000.0))
 
 
@@ -218,7 +224,7 @@ def _rabin_int_to_payload(m):
 
 
 def _cmd_rabin_keygen(args):
-    kp = rabin.keygen(args.n, random.Random(args.seed))
+    kp = rabin.keygen(args.n, _rng(args.seed))
     _write_text(args.out_pub, format_fields(zip(_RABIN_PUB_FIELDS, (args.n, kp.N))))
     _write_text(args.out_priv, format_fields(zip(_RABIN_PRIV_FIELDS, (args.n, kp.p, kp.q))))
 
@@ -280,6 +286,7 @@ def _add_rabin_cipher_options(p, handler):
     p.set_defaults(handler=handler)
 
 
+@functools.cache  # main parses with one parser per process; parse_args leaves it unchanged
 def build_parser():
     # --help shows the docstring less its last paragraph, which is about the code
     parser = argparse.ArgumentParser(prog="aabeta", description=__doc__.rsplit("\n\n", 1)[0])

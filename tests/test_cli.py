@@ -152,6 +152,46 @@ def _known_answer_record(path, **overrides):
     return path
 
 
+def test_only_unseeded_commands_draw_from_the_os(keys16, tmp_path, monkeypatch, capsys):
+    # 624 outputs of a Mersenne Twister give away its state, so keys and
+    # session values drawn without --seed come from random.SystemRandom
+    draws = []
+
+    class SpyRandom(random.SystemRandom):
+        def getrandbits(self, k):
+            draws.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(random, "SystemRandom", SpyRandom)
+    pub, _ = keys16
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"abc")
+    ka = _known_answer_record(tmp_path / "ka.txt")
+    out = str(tmp_path / "out")
+    new_pub, new_priv = str(tmp_path / "pub2"), str(tmp_path / "priv2")
+    outs = ("--out-pub", new_pub, "--out-priv", new_priv)
+    unseeded = [
+        ("keygen", "--n", "16", *outs),
+        ("encrypt", "--pub", str(pub), "--in", str(payload), "--out", out),
+        ("rabin", "keygen", "--n", "16", *outs),
+    ]
+    seeded = [
+        ("keygen", "--n", "16", "--seed", "1", *outs),
+        ("encrypt", "--pub", str(pub), "--in", str(payload), "--out", out, "--seed", "4"),
+        ("encrypt", "--pub", str(pub), "--insecure-known-answer", str(ka), "--out", out),
+        ("rabin", "keygen", "--n", "16", "--seed", "1", *outs),
+        ("rabin", "ambiguity", "--trials", "50"),  # seed 0 by default
+        ("bench", "--schemes", "rabin", "--n-list", "16"),  # seed 0 by default
+    ]
+    for argv in unseeded + seeded:
+        draws.clear()
+        assert run(*argv) == 0
+        assert bool(draws) == (argv in unseeded), argv
+    assert run("keygen", "--n", "16", *outs) == 0
+    assert run("validate", "--pub", new_pub, "--priv", new_priv) == 0
+    assert capsys.readouterr().out.endswith("valid (strict)\n")
+
+
 def test_reference_vector_via_fixed_ephemerals(reference_keys, tmp_path):
     pub, _ = reference_keys
     ct = tmp_path / "ct.txt"
@@ -1007,6 +1047,71 @@ def exit_code(*argv):
         return run(*argv)
     except SystemExit as exc:
         return exc.code
+
+
+# every attack kind, the rabin commands and an argparse error, on files named
+# relative to the working directory so that every message is the same in each pass
+_PARSER_REUSE_SEQUENCE = [
+    ("keygen", "--n", "16", "--seed", "1", "--out-pub", "pub", "--out-priv", "priv"),
+    ("encrypt", "--pub", "pub", "--in", "payload", "--out", "ct", "--seed", "3"),
+    ("decrypt", "--pub", "pub", "--priv", "priv", "--in", "ct", "--out", "dec"),
+    ("validate", "--pub", "pub", "--priv", "priv"),
+    ("validate", "--pub", "ref_pub", "--priv", "ref_priv"),
+    ("attack", "--kind", "congruence", "--pub", "pub", "--ct", "ct", "--budget", "1000",
+     "--report", "report"),
+    ("attack", "--kind", "coppersmith", "--pub", "pub", "--priv", "priv"),
+    ("attack", "--kind", "euclid", "--pub", "ref_pub", "--ct", "ref_ct",
+     "--known-answer", "ref_ka"),
+    ("attack", "--kind", "lattice", "--pub", "ref_pub", "--ct", "ref_ct"),
+    ("attack", "--kind", "factor-from-roots", "--pub", "ref_pub", "--roots", "ref_roots"),
+    ("rabin", "keygen", "--n", "24", "--seed", "2", "--out-pub", "rpub", "--out-priv", "rpriv"),
+    ("rabin", "encrypt", "--pub", "rpub", "--in", "payload", "--out", "rct",
+     "--scheme", "redundant"),
+    ("rabin", "decrypt", "--priv", "rpriv", "--in", "rct", "--out", "rdec",
+     "--scheme", "redundant"),
+    ("decrypt", "--pub", "pub", "--priv", "priv", "--in", "absent", "--out", "dec"),
+    ("keygen", "--n", "16", "--nope"),
+]
+
+
+def _masked(text):
+    return re.sub(r"elapsed_ms: .*", "elapsed_ms: -", text)
+
+
+def test_main_gives_the_same_results_with_its_one_parser(reference_keys, tmp_path, monkeypatch,
+                                                          capsys):
+    assert build_parser() is build_parser()
+    attacked = {argv[2] for argv in _PARSER_REUSE_SEQUENCE if argv[0] == "attack"}
+    assert attacked == set(_ATTACK_KINDS)
+    ref_pub, ref_priv = reference_keys
+    inputs = {
+        "payload": b"hi",
+        "ref_pub": ref_pub.read_bytes(),
+        "ref_priv": ref_priv.read_bytes(),
+        "ref_ct": f"{vectors.C16:#x}\n".encode(),
+        "ref_ka": format_fields([("u", vectors.U16), ("v", vectors.V16)]).encode(),
+        "ref_roots": format_fields(zip(("v1", "v2", "v3", "v4"), vectors.ROOTS16)).encode(),
+    }
+    build_parser.cache_clear()  # so the first pass builds the parser and the second reuses it
+    passes = []
+    for name in ("first", "second"):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for file, content in inputs.items():
+            (workdir / file).write_bytes(content)
+        monkeypatch.chdir(workdir)
+        results = []
+        for argv in _PARSER_REUSE_SEQUENCE:
+            code = exit_code(*argv)
+            out, err = capsys.readouterr()
+            results.append((argv, code, _masked(out), err))
+        files = {path.name: _masked(path.read_text(encoding="latin-1"))
+                 for path in sorted(workdir.iterdir())}
+        passes.append((results, files))
+    assert passes[0] == passes[1]
+    codes = [code for _, code, _, _ in passes[0][0]]
+    assert codes == [0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 5, 2]
+    assert passes[0][1]["dec"] == "hi" == passes[0][1]["rdec"]
 
 
 @pytest.mark.parametrize(

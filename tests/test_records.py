@@ -53,15 +53,6 @@ def test_public_key_repr_keeps_the_dataclass_form():
     assert repr(keys.PublicKey(8, 1, 2)) == "PublicKey(n=8, e_a1=1, e_a2=2)"
 
 
-def test_attack_reports_get_their_own_dicts():
-    first = attacks.AttackReport("euclid", attacks.VERDICT_NOT_RECOVERED)
-    second = attacks.AttackReport("euclid", attacks.VERDICT_NOT_RECOVERED)
-    assert first.params == first.diagnostics == {}
-    assert first.recovered is None
-    assert len({id(first.params), id(first.diagnostics), id(second.params),
-                id(second.diagnostics)}) == 4
-
-
 @pytest.mark.parametrize(
     "record, change",
     [(codec.EncodedMessage((1 << 24) + 1, 65, 8), {"m2": 64}),
