@@ -74,6 +74,10 @@ def congruence_params(pub, ct):
 _SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31)
 _SQUARES = {m: frozenset(x * x % m for x in range(m)) for m in _SQUARE_MODULI}
 _BLOCK = 1 << 14  # candidates per filter mask, one bit each
+# m^2 characters; character i is "1" when i mod m is a square modulo m
+_SQUARE_TEXT = {m: "".join("01"[x in sq] for x in range(m)) * m for m, sq in _SQUARES.items()}
+# 1 + 2^m + 2^2m + ... past _BLOCK + m bits: times an m-bit pattern, it repeats the pattern
+_REPEAT = {m: ((1 << m * (_BLOCK // m + 2)) - 1) // ((1 << m) - 1) for m in _SQUARE_MODULI}
 
 
 def _solution(pub, c, u, v_squared):
@@ -92,19 +96,23 @@ def _solution(pub, c, u, v_squared):
 
 
 def _square_candidates(s0, step, count):
-    """Yield in increasing order each t < count with s0 - step*t a square modulo every _SQUARE_MODULI."""
+    """Yield in increasing order each t < count with s0 - step*t a square modulo every _SQUARE_MODULI.
+
+    Modulo m the test has period m in t, so each m-bit pattern is built once per scan:
+    with k = -step mod m, (s0 - step*t) mod m is character s0 % m + k*t of
+    _SQUARE_TEXT[m], so one strided slice reads the m bits. One product with
+    _REPEAT[m] repeats the pattern past one block plus m bits, and each block
+    takes it shifted right by start % m.
+    """
+    patterns = []
+    for m, text in _SQUARE_TEXT.items():
+        k = -step % m
+        bits = text[s0 % m :: k][:m] if k else text[s0 % m] * m
+        patterns.append((m, int(bits[::-1], 2) * _REPEAT[m]))  # bit t is character t
     for start in range(0, count, _BLOCK):
-        size = min(_BLOCK, count - start)
-        s = s0 - step * start
-        mask = (1 << size) - 1
-        for m, squares in _SQUARES.items():
-            s_m, step_m = s % m, step % m
-            pattern = sum(1 << t for t in range(m) if (s_m - step_m * t) % m in squares)
-            width = m
-            while width < size:
-                pattern |= pattern << width
-                width *= 2
-            mask &= pattern
+        mask = (1 << min(_BLOCK, count - start)) - 1
+        for m, pattern in patterns:
+            mask &= pattern >> start % m
         while mask:
             yield start + (mask & -mask).bit_length() - 1
             mask &= mask - 1
@@ -228,7 +236,7 @@ def preset_scale(n):
 
 
 # Leading bits of the Gram entries on which lll_reduce's k=1 phase decides.
-_GAUSS_BITS = 128
+_GAUSS_BITS = 256
 
 
 def lll_reduce(basis):
@@ -239,62 +247,63 @@ def lll_reduce(basis):
     on n0 = |b_0|^2, g = <b_1, b_0> and n1 = |b_1|^2 alone (the k=1 size
     reduction and Lovasz test 4 n1 >= 3 n0, since d_0 = 1). It decides on the
     leading _GAUSS_BITS of the Gram entries (Lehmer 1938): with the entries
-    shifted right by s and the steps so far as a unimodular m,
-    c_i >= |m_i0| + |m_i1| bounds the true entries / 2^s to a0 +- c0^2,
-    ag +- c0 c1 and a1 +- c1^2, and a step is taken only when every value in
-    those intervals gives it. The first uncertain step flushes m into the
-    exact entries; when no step was certain, one is taken on the exact
-    entries. Rows 0 and 1 are multiplied by the composed transform once, at
-    the end. One Gram-Schmidt pass then computes d and lam of every row; a
-    dependent row raises ValueError (n0 n1 = g^2 raises before the pre-pass).
-    Integral LLL runs from k = 2: row k is size-reduced against j = k-1 down
-    to 0 when 2|lam_kj| > d_j+1, by r = (2 lam_kj + d_j+1) // (2 d_j+1) =
-    floor(mu_kj + 1/2). The d_k a swap would give,
-    new_dk = (d_k-1 d_k+1 + lam_k,k-1^2) / d_k, is an exact quotient, and
-    rows k-1 and k swap while the Lovasz test 4 new_dk >= 3 d_k fails; a
-    swap updates lam of rows k+1..dim-1. The output spans the same lattice
-    with |mu_ij| <= 1/2. Meant for small dimensions.
+    shifted right by s and the steps so far as a unimodular m whose
+    c_i >= |m_i0| + |m_i1| stay within cap = 2^(_GAUSS_BITS/4), every true
+    entry / 2^s lies within e = cap^2 of the computed one, and a step is
+    taken only when every value within e of each entry gives it. The first
+    uncertain step flushes m into the exact entries; when no step was
+    certain, one is taken on the exact entries. Rows 0 and 1 are multiplied
+    by the composed transform once, at the end. The pre-pass leaves d_1 = n0,
+    lam_10 = g and d_2 = n0 n1 - g^2 of the reduced rows; d_2 = 0, dependent
+    rows 0 and 1 (the steps then end at a zero row 0), raises ValueError. One
+    Gram-Schmidt pass then computes d and lam of rows 2 and on; a dependent
+    row raises ValueError. Integral LLL runs from k = 2: row k is
+    size-reduced against j = k-1 down to 0 when 2|lam_kj| > d_j+1, by
+    r = (2 lam_kj + d_j+1) // (2 d_j+1) = floor(mu_kj + 1/2). The d_k a swap
+    would give, new_dk = (d_k-1 d_k+1 + lam_k,k-1^2) / d_k, is an exact
+    quotient, and rows k-1 and k swap while the Lovasz test 4 new_dk >= 3 d_k
+    fails; a swap updates lam of rows k+1..dim-1. The output spans the same
+    lattice with |mu_ij| <= 1/2. Meant for small dimensions.
     """
     b = [[int(x) for x in row] for row in basis]
     dim = len(b)
     if any(len(row) != len(b[0]) for row in b):
         raise ValueError("rows must have equal length")
+    d = [1] * (dim + 1)
+    lam = [[0] * dim for _ in range(dim)]
     if dim >= 2:
         n0, g, n1 = (sum(x * y for x, y in zip(b[i], b[j])) for i, j in ((0, 0), (1, 0), (1, 1)))
-        if n0 * n1 == g * g:  # Cauchy-Schwarz equality, a zero row included
-            raise ValueError("basis rows are linearly dependent")
-        t, exact, stop = (1, 0, 0, 1), False, False  # rows 0, 1 = t times the input's
+        t, stop = (1, 0, 0, 1), False  # rows 0, 1 = t times the input's
         while not stop:
-            s = 0 if exact else max(0, max(n0, n1).bit_length() - _GAUSS_BITS)
+            s = max(0, max(n0, n1).bit_length() - _GAUSS_BITS)
             a0, ag, a1 = n0 >> s, g >> s, n1 >> s
             x, y, z, w = 1, 0, 0, 1  # m = [[x, y], [z, w]], the steps since the flush
-            # with c_i >= |m_i0| + |m_i1|, the true entries of m G m^T / 2^s lie
-            # within a0 +- c0^2, ag +- c0 c1 and a1 +- c1^2 (exact when s = 0)
-            c0 = c1 = int(s > 0)
-            while a0 > c0 * c0:
-                e0, e01, e1 = c0 * c0, c0 * c1, c1 * c1
-                if 2 * (abs(ag) - e01) > a0 + e0:
-                    r, lo = divmod(2 * ag + a0, 2 * a0)  # lo = 2 ag - (2r - 1) a0
-                    slack = 2 * e01 + (2 * abs(r) + 1) * e0
-                    if lo < slack or 2 * a0 - lo <= slack:
+            c0 = c1 = int(s > 0)  # e = 0 when s = 0: the entries are exact
+            cap = c0 << (_GAUSS_BITS // 4)
+            e = cap * cap
+            e2, e3, e7 = 2 * e, 3 * e, 7 * e
+            while a0 > e:
+                r, lo = divmod(2 * ag + a0, 2 * a0)  # lo = 2 ag - (2r - 1) a0
+                q = abs(r)
+                slack = q * e2 + e3  # bounds the error of lo and of 2 a0 - lo
+                if lo <= slack or 2 * a0 - lo <= slack:
+                    break
+                if r:
+                    c = c1 + q * c0
+                    if c > cap:
                         break
                     a1 += r * (r * a0 - 2 * ag)
                     ag -= r * a0
-                    z -= r * x
-                    w -= r * y
-                    c1 += abs(r) * c0
-                    e1 = c1 * c1
-                elif 2 * (abs(ag) + e01) > a0 - e0:
-                    break
-                if 4 * (a1 - e1) >= 3 * (a0 + e0):
-                    stop = True
-                    break
-                if 4 * (a1 + e1) >= 3 * (a0 - e0):
+                    z, w, c1 = z - r * x, w - r * y, c
+                lovasz = 4 * a1 - 3 * a0  # within 7e of the true value
+                if lovasz + e7 >= 0:
+                    stop = lovasz >= e7
                     break
                 a0, a1, c0, c1, x, y, z, w = a1, a0, c1, c0, z, w, x, y
-                if exact:
-                    break
-            exact = (x, y, z, w) == (1, 0, 0, 1)  # nothing certain: take one exact step next
+            if not stop and (x, y, z, w) == (1, 0, 0, 1):  # nothing certain: one exact step
+                r = (2 * g + n0) // (2 * n0) if 2 * abs(g) > n0 else 0
+                stop = 4 * (n1 + r * (r * n0 - 2 * g)) >= 3 * n0
+                x, y, z, w = (1, 0, -r, 1) if stop else (-r, 1, 1, 0)
             n0, g, n1 = (
                 x * x * n0 + 2 * x * y * g + y * y * n1,
                 x * z * n0 + (x * w + y * z) * g + y * w * n1,
@@ -305,9 +314,10 @@ def lll_reduce(basis):
             [t[0] * x + t[1] * y for x, y in zip(b[0], b[1])],
             [t[2] * x + t[3] * y for x, y in zip(b[0], b[1])],
         )
-    d = [1] * (dim + 1)
-    lam = [[0] * dim for _ in range(dim)]
-    for k in range(dim):
+        d[1], d[2], lam[1][0] = n0, n0 * n1 - g * g, g
+        if d[2] == 0:  # Cauchy-Schwarz equality, a zero row included
+            raise ValueError("basis rows are linearly dependent")
+    for k in range(2 if dim >= 2 else 0, dim):
         for j in range(k + 1):
             u = sum(x * y for x, y in zip(b[k], b[j]))
             for t in range(j):
@@ -361,7 +371,9 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
 
     The search tries the integer combinations of the zero-tail rows with
     coefficients up to +/-_COEFF_BOUND, c1 outer and c2 inner, and stops
-    at the first (U, V^2) that passes the recovery check, _solution.
+    at the first (U, V^2) that passes the recovery check, _solution. A
+    zero-tail row (u, w, 0) has u*e_a1 + w*e_a2 = z*C, so only the
+    combinations with c1*z1 + c2*z2 = 1 can meet C and go to the check.
     Supplying the true (U, V) adds known-answer diagnostics (target norm,
     lattice membership). A ciphertext below 1 raises ValueError.
     """
@@ -379,9 +391,10 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     found = None
     if len(zero_rows) == 2:
         (u1, w1, _), (u2, w2, _) = zero_rows
+        z1, z2 = ((u * pub.e_a1 + w * pub.e_a2) // ct.c for u, w, _ in zero_rows)
         coeffs = range(-_COEFF_BOUND, _COEFF_BOUND + 1)
         candidates = (_solution(pub, ct.c, c1 * u1 + c2 * u2, c1 * w1 + c2 * w2)
-                      for c1, c2 in itertools.product(coeffs, repeat=2))
+                      for c1, c2 in itertools.product(coeffs, repeat=2) if c1 * z1 + c2 * z2 == 1)
         found = next(filter(None, candidates), None)
 
     diagnostics = {

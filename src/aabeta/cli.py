@@ -22,7 +22,9 @@ from .errors import (
     InconsistentKey,
 )
 from .keys import (
+    _MAX_N,
     KeyPair,
+    _check_size,
     check_public_key,
     format_fields,
     format_private_key,
@@ -36,10 +38,6 @@ from .keys import (
 )
 
 _ATTACK_KINDS = ("congruence", "coppersmith", "euclid", "lattice", "factor-from-roots")
-# The largest --n a generating command takes: 8x the largest size the
-# README uses, far past any size keygen finishes in, and small enough
-# that no 1 << n those commands build can exhaust memory.
-_MAX_N = 1 << 14
 # Tried in order: GenerationFailure and CapacityError are CryptoErrors.
 _EXIT_CODES = ((GenerationFailure, 3), (CapacityError, 2), (CryptoError, 4), (ValueError, 2),
                (OSError, 5))
@@ -242,9 +240,7 @@ def _cmd_rabin_encrypt(args):
 
 def _cmd_rabin_decrypt(args):
     priv = parse_fields(_read_text(args.priv), _RABIN_PRIV_FIELDS)
-    # rabin keygen writes p, q in (2^n, 2^(n+1)); this bounds every pow below
-    if priv["n"] > _MAX_N or max(priv["p"], priv["q"]).bit_length() > priv["n"] + 1:
-        raise InconsistentKey(f"Rabin key too large: n above {_MAX_N}, or p or q above n+1 bits")
+    _check_size("Rabin", priv["n"], priv["p"], priv["q"])  # bounds every pow below
     try:
         kp = rabin.RabinKeyPair(priv["p"] * priv["q"], priv["p"], priv["q"])
     except ValueError as exc:

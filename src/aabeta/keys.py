@@ -137,6 +137,17 @@ def check_public_key(pub):
         raise InconsistentKey("public key too small: need n >= 8 and e_a1, e_a2 of 3n bits or more")
 
 
+# The largest n of a key file or of --n: 8x the largest size the README uses, far
+# past any size keygen finishes in, and small enough that no 1 << n exhausts memory.
+_MAX_N = 1 << 14
+
+
+def _check_size(kind, n, *primes):
+    """Raise InconsistentKey for n above _MAX_N or a prime above n+1 bits; e_a1, e_a2, d are not capped."""
+    if n > _MAX_N or any(x.bit_length() > n + 1 for x in primes):
+        raise InconsistentKey(f"{kind} key too large: n above {_MAX_N}, or p or q above n+1 bits")
+
+
 _PUBLIC_FIELDS = ("n", "eA1", "eA2")
 _PRIVATE_FIELDS = ("n", "p", "q", "d")
 _UINT_TEXT = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
@@ -192,6 +203,7 @@ def format_public_key(pub):
 
 def parse_public_key(text):
     v = parse_fields(text, _PUBLIC_FIELDS)
+    _check_size("public", v["n"])
     return PublicKey(v["n"], v["eA1"], v["eA2"])
 
 
@@ -202,4 +214,5 @@ def format_private_key(priv, n):
 def parse_private_key(text):
     """Return (PrivateKey, n) from the key-file text."""
     v = parse_fields(text, _PRIVATE_FIELDS)
+    _check_size("private", v["n"], v["p"], v["q"])
     return PrivateKey(v["p"], v["q"], v["d"]), v["n"]

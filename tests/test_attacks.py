@@ -471,8 +471,24 @@ def test_lll_rejects_dependent_row_after_swaps():
     [[[0, 0], [1, 2]], [[1, 2], [0, 0]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]],
 )
 def test_lll_rejects_zero_row_in_first_two(basis):
-    # |b_0|^2 = 0 or |b_0|^2 |b_1|^2 = <b_1, b_0>^2 is rejected before any swap
+    # d_2 = |b_0|^2 |b_1|^2 - <b_1, b_0>^2 = 0 is rejected after the Gauss pre-pass
     with pytest.raises(ValueError):
+        lll_reduce(basis)
+    with pytest.raises(ValueError):
+        rational_lll(basis)
+
+
+@pytest.mark.parametrize("shift", [0, 300, 3000])
+def test_lll_rejects_dependent_rows_after_a_long_k1_phase(shift):
+    # rows 0 and 1 are F(301) and F(300) times one vector, so the pre-pass is a
+    # Euclidean algorithm of about 300 steps, through flushes and exact steps,
+    # down to a zero row 0, and then d_2 = 0 rejects the basis
+    fib = [0, 1]
+    while len(fib) < 302:
+        fib.append(fib[-1] + fib[-2])
+    v = [3 << shift, -(5 << shift), 7]
+    basis = [[fib[301] * x for x in v], [fib[300] * x for x in v], [0, 1, 0]]
+    with pytest.raises(ValueError, match="linearly dependent"):
         lll_reduce(basis)
     with pytest.raises(ValueError):
         rational_lll(basis)
@@ -482,6 +498,15 @@ def test_lll_lovasz_equality_at_k1_on_two_rows():
     # 4 |b_1|^2 = 3 |b_0|^2: no swap. Not square, so not an oracle @example
     basis = [[2, 0, 0], [1, 1, 1]]
     assert lll_reduce(basis) == rational_lll(basis) == basis
+
+
+def test_lll_swaps_when_the_leading_bits_hide_a_failing_lovasz_test():
+    # 4 n1 - 3 n0 = -3, but on the leading 256 bits of the Gram entries the
+    # Lovasz value reads exactly 0, inside its error bound: the pre-pass must
+    # leave the test to an exact step, which swaps the rows
+    h = 1 << 499
+    basis = [[2 * h, 1, 0, 0, 0], [0, 0, h, h, h]]
+    assert lll_reduce(basis) == rational_lll(basis) == [basis[1], basis[0]]
 
 
 @pytest.mark.parametrize("rows", [2, 3])
@@ -717,6 +742,28 @@ def test_lattice_attack_auto_scale_recovers_from_oversized_e_a2(n):
         assert report.verdict == VERDICT_RECOVERED
         assert (report.recovered["m1"], report.recovered["m2"]) == (msg.m1, msg.m2)
         assert report.params["scale_log2"] == ct.c.bit_length() + 2
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_lattice_search_matches_a_scan_of_every_coefficient_pair(n):
+    # only pairs with c1*z1 + c2*z2 = 1 go to the recovery check; a scan of all
+    # (2*_COEFF_BOUND + 1)^2 pairs, c1 outer, finds the same first recovery, or none
+    coeffs = range(-attacks._COEFF_BOUND, attacks._COEFF_BOUND + 1)
+    instances = [(weak.public, ct) for weak, _, ct in oversized_e_a2_instances(n)]
+    instances += [(kp.public, trace.ciphertext) for kp, trace in (_random_instance(n, s) for s in range(10))]
+    recovered = 0
+    for pub, ct in instances:
+        for scale in (1 << (ct.c.bit_length() + 2), preset_scale(n)):
+            zero_rows = [r for r in lll_reduce(build_lattice(pub, ct, scale)) if r[2] == 0]
+            expected = None
+            if len(zero_rows) == 2:
+                (u1, w1, _), (u2, w2, _) = zero_rows
+                candidates = (attacks._solution(pub, ct.c, c1 * u1 + c2 * u2, c1 * w1 + c2 * w2)
+                              for c1, c2 in itertools.product(coeffs, repeat=2))
+                expected = next(filter(None, candidates), None)
+            assert lattice_attack(pub, ct, scale).recovered == expected
+            recovered += expected is not None
+    assert recovered >= 20
 
 
 @pytest.mark.parametrize("scale", ["auto", 1 << 320])

@@ -782,9 +782,9 @@ def test_key_files_disagreeing_on_n_exit_4(keys16, tmp_path, capsys):
 
 
 def test_keys_whose_p_and_q_share_a_factor_exit_4(tmp_path, capsys):
-    # p = 27 and q = 3 * 7673 are both 3 (mod 4), and the AA-beta key on them
-    # is otherwise consistent; four_roots would need q^-1 mod p
-    n, p, q = 8, 27, 23019
+    # p = 3 * 13^2 and q = 3^2 * 5 * 11 are both 3 (mod 4) and of n + 1 bits, and the
+    # AA-beta key on them is otherwise consistent; four_roots would need q^-1 mod p
+    n, p, q = 8, 507, 495
     pq, e_a1 = p * q, p * p * q
     e_a2 = (1 << 24) + 1
     while math.gcd(e_a2, e_a1 * pq) != 1:
@@ -808,7 +808,8 @@ def test_keys_whose_p_and_q_share_a_factor_exit_4(tmp_path, capsys):
 
 
 def test_n_beyond_the_decimal_digit_limit_exits_4(keys16, tmp_path, capsys):
-    # 4,000 hex digits are about 4,816 decimal ones, past CPython's 4,300
+    # 4,000 hex digits are about 4,816 decimal ones, past CPython's 4,300;
+    # the key-size rule refuses such an n before any arithmetic on it
     pub, priv = keys16
     huge = "0x" + "f" * 4000
     first, rest = priv.read_text().split("\n", 1)
@@ -820,13 +821,55 @@ def test_n_beyond_the_decimal_digit_limit_exits_4(keys16, tmp_path, capsys):
                "--in", str(ct), "--out", str(tmp_path / "o")) == 4
     assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 4
     assert run("attack", "--kind", "coppersmith", "--pub", str(pub), "--priv", str(priv)) == 4
-    assert capsys.readouterr().err.count("key files disagree on n") == 3
+    assert capsys.readouterr().err.count("private key too large") == 3
     first, rest = pub.read_text().split("\n", 1)
     pub.write_text(f"n = {huge}\n{rest}")
     assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 4
-    assert "p-range: p not in (2^n, 2^(n+1))" in capsys.readouterr().err
-    assert run("validate", "--pub", str(pub), "--priv", str(priv), "--relaxed") == 0
+    assert run("validate", "--pub", str(pub), "--priv", str(priv), "--relaxed") == 4
+    assert capsys.readouterr().err.count("public key too large") == 2
     assert time.perf_counter() - t0 < 1.0
+
+
+def _crafted_key_files(tmp_path, n, rng):
+    """Key files at n that relaxed validation accepts: p, q = 3 (mod 4) of n + 1 bits, not
+    tested for primality, with an in-range ciphertext and the attacks' input files."""
+    p, q = ((1 << n) | rng.getrandbits(n) | 3 for _ in range(2))
+    pq = p * q
+    d = rng.getrandbits(2 * n) | 1
+    e_a2 = pow(d, -1, pq)
+    e_a2 += (((1 << (3 * n + 4)) - e_a2) // pq + 1) * pq
+    pub = PublicKey(n, p * p * q, e_a2)
+    trace = encrypt_trace(pub, encode(b"", n), sample_ephemerals(n, rng))
+    paths = {name: tmp_path / name for name in ("pub", "priv", "ct", "ka", "roots", "payload")}
+    paths["pub"].write_text(format_public_key(pub))
+    paths["priv"].write_text(format_private_key(PrivateKey(p, q, d), n))
+    paths["ct"].write_text(format_ciphertext(trace.ciphertext))
+    paths["ka"].write_text(format_fields([("u", trace.u), ("v", trace.v)]))
+    paths["roots"].write_text(format_fields((f"v{i}", trace.v + i) for i in range(1, 5)))
+    paths["payload"].write_bytes(b"hi")
+    return paths
+
+
+_KEY_COMMANDS = [
+    ("encrypt", "--pub", "{pub}", "--in", "{payload}", "--out", "{out}"),
+    ("decrypt", "--pub", "{pub}", "--priv", "{priv}", "--in", "{ct}", "--out", "{out}"),
+    ("validate", "--pub", "{pub}", "--priv", "{priv}"),
+    ("validate", "--pub", "{pub}", "--priv", "{priv}", "--relaxed"),
+    *(("attack", "--kind", kind, "--pub", "{pub}", "--priv", "{priv}", "--ct", "{ct}",
+       "--known-answer", "{ka}", "--roots", "{roots}") for kind in _ATTACK_KINDS),
+]
+
+
+@pytest.mark.parametrize("argv", _KEY_COMMANDS, ids=lambda argv: "-".join(argv[:3]))
+def test_key_above_the_size_bound_exits_4_at_once(tmp_path, capsys, argv):
+    # Relaxed validation accepts this key, and without the bound decrypt would
+    # spend seconds in pow modulo its 16,386-bit p and q
+    paths = _crafted_key_files(tmp_path, _MAX_N + 1, random.Random(0))
+    t0 = time.perf_counter()
+    assert run(*(arg.format(out=tmp_path / "out", **paths) for arg in argv)) == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert "public key too large: n above 16384" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_rabin_ambiguity_message_prints_no_root_in_decimal(tmp_path, capsys):
@@ -961,7 +1004,7 @@ def _cap_address_space():
     "argv, code",
     [
         (("validate", "--pub", "{pub}", "--priv", "{priv}"), 4),
-        (("validate", "--pub", "{pub}", "--priv", "{priv}", "--relaxed"), 0),
+        (("validate", "--pub", "{pub}", "--priv", "{priv}", "--relaxed"), 4),
         (("decrypt", "--pub", "{pub}", "--priv", "{priv}", "--in", "{ct}", "--out", "{out}"), 4),
         (("rabin", "encrypt", "--pub", "{rpub}", "--in", "{payload}", "--out", "{out}",
           "--scheme", "redundant", "--l", "{huge}"), 2),

@@ -318,11 +318,23 @@ _KEY_FILE_INT = st.integers(0, 2**20000)  # past the 4300-digit decimal limit
 @settings(deadline=None)
 @given(_KEY_FILE_INT, _KEY_FILE_INT, _KEY_FILE_INT, _KEY_FILE_INT)
 @example(2**20000, 2**20000 - 1, 10**4300, 0)
+@example(keys._MAX_N, 2 ** (keys._MAX_N + 1) - 1, 10**4300, 2**20000)  # all past 4300 digits
+@example(keys._MAX_N + 1, 7, 7, 0)
+@example(16, 2**17 - 1, 7, 2**100_000)
+@example(16, 2**18 - 1, 7, 0)
 def test_key_files_round_trip_any_size(n, a, b, c):
-    pub = PublicKey(n, a, b)
-    assert parse_public_key(format_public_key(pub)) == pub
-    priv = PrivateKey(a, b, c)
-    assert parse_private_key(format_private_key(priv, n)) == (priv, n)
+    # e_a1, e_a2 and d have no cap; n above _MAX_N, or p or q above n + 1 bits, is refused
+    pub, priv = PublicKey(n, a, b), PrivateKey(a, b, c)
+    for parse, text, value, too_large in (
+        (parse_public_key, format_public_key(pub), pub, n > keys._MAX_N),
+        (parse_private_key, format_private_key(priv, n), (priv, n),
+         n > keys._MAX_N or max(a, b).bit_length() > n + 1),
+    ):
+        if too_large:
+            with pytest.raises(InconsistentKey, match="key too large"):
+                parse(text)
+        else:
+            assert parse(text) == value
 
 
 def test_key_file_reference_values():
