@@ -1,5 +1,7 @@
 import errno
 import functools
+import hashlib
+import itertools
 import math
 import os
 import random
@@ -945,6 +947,65 @@ def test_attack_names_the_missing_input(reference_keys, tmp_path, capsys, kind, 
     options = [arg for option in given for arg in (option, str(files[option]))]
     assert run("attack", "--kind", kind, "--pub", str(pub), *options) == 2
     assert capsys.readouterr() == ("", f"error: --{missing} is required for --kind {kind}\n")
+
+
+def _attack_input_files(directory, n, seed):
+    """A seeded key pair's public key, private key, ciphertext, (u, v) and roots files."""
+    rng = random.Random(seed)
+    kp = generate_keypair(n, rng)
+    trace = encrypt_trace(kp.public, encode(b"hi", n), sample_ephemerals(n, rng))
+    texts = {
+        "--pub": format_public_key(kp.public),
+        "--priv": format_private_key(kp.private, n),
+        "--ct": format_ciphertext(trace.ciphertext),
+        "--known-answer": format_fields([("u", trace.u), ("v", trace.v)]),
+        "--roots": format_fields(zip(("v1", "v2", "v3", "v4"),
+                                     unmasked_roots(kp, trace.ciphertext.c)[1])),
+    }
+    directory.mkdir()
+    for option, text in texts.items():
+        (directory / option.strip("-")).write_text(text)
+    return {option: str(directory / option.strip("-")) for option in texts}
+
+
+# The pinned digest of every run test_attack_cli_digest makes.
+_ATTACK_CLI_DIGEST = "9e9880cbb897956553dcf1201f8f2d76b1fd409cafc98ab1f133e1d768dd08b4"
+
+
+def test_attack_cli_digest(tmp_path, capsys):
+    # Each kind runs on seeded n=16 and n=64 inputs, and at n=16 with each of
+    # --ct, --priv, --known-answer and --roots given, omitted or an absent file
+    # (so every missing required input and every unreadable file, in any
+    # mix), then with an absent --pub and with a directory as --report. The
+    # digest covers each run's exit code, stdout, stderr and report text, with
+    # elapsed_ms and the temporary directory masked.
+    absent, report = str(tmp_path / "absent"), tmp_path / "report.txt"
+    runs = []
+    for n in (16, 64):
+        files = _attack_input_files(tmp_path / f"n{n}", n, seed=n)
+        for kind in _ATTACK_KINDS:
+            given = [arg for option, path in files.items() for arg in (option, path)]
+            runs.append((kind, *given, "--budget", "4096"))
+            runs.append((kind, *given, "--budget", "4096", "--report", str(report)))
+    files = _attack_input_files(tmp_path / "n16-inputs", 16, seed=1)
+    inputs = ("--ct", "--priv", "--known-answer", "--roots")
+    for kind in _ATTACK_KINDS:
+        for states in itertools.product(("given", "omitted", "absent"), repeat=len(inputs)):
+            options = [arg for option, state in zip(inputs, states) if state != "omitted"
+                       for arg in (option, files[option] if state == "given" else absent)]
+            runs.append((kind, "--pub", files["--pub"], *options, "--report", str(report)))
+        everything = [arg for option in inputs for arg in (option, files[option])]
+        runs.append((kind, "--pub", absent, *everything))
+        runs.append((kind, "--pub", files["--pub"], *everything, "--report", str(tmp_path)))
+    digest = hashlib.sha256()
+    for argv in runs:
+        report.unlink(missing_ok=True)
+        code = run("attack", "--kind", *argv)
+        out, err = capsys.readouterr()
+        text = report.read_text() if report.exists() else ""
+        record = repr((argv, code, out, err, text)).replace(str(tmp_path), "TMP")
+        digest.update(re.sub(r"elapsed_ms: [0-9.]+", "elapsed_ms: *", record).encode())
+    assert digest.hexdigest() == _ATTACK_CLI_DIGEST
 
 
 def test_each_exit_code_row_prints_one_error_line(keys16, tmp_path, capsys, monkeypatch):
