@@ -37,7 +37,6 @@ from .keys import (
     validate_keypair,
 )
 
-_ATTACK_KINDS = ("congruence", "coppersmith", "euclid", "lattice", "factor-from-roots")
 # Tried in order: GenerationFailure and CapacityError are CryptoErrors.
 _EXIT_CODES = ((GenerationFailure, 3), (CapacityError, 2), (CryptoError, 4), (ValueError, 2),
                (OSError, 5))
@@ -155,49 +154,50 @@ def report_to_text(report, elapsed_ms):
     return "\n".join(lines) + "\n"
 
 
-def _required(args, option):
-    """attack's --option, which --kind args.kind needs: a ValueError when absent."""
-    value = getattr(args, option.replace("-", "_"))
-    if value is None:
-        raise ValueError(f"--{option} is required for --kind {args.kind}")
-    return value
+_ROOT_FIELDS = ("v1", "v2", "v3", "v4")
+# The reader(args, path) of each attack input option's file.
+_ATTACK_INPUTS = {
+    "ct": lambda args, path: cipher.parse_ciphertext(_read_text(path)),
+    "priv": lambda args, path: _load_usable_keypair(args.pub, path).private.d,
+    "known-answer": lambda args, path: parse_fields(_read_text(path), ("u", "v")),
+    "roots": lambda args, path: parse_fields(_read_text(path), _ROOT_FIELDS),
+}
+# Each attack kind: the input options it reads, in order, each required (True)
+# or optional (False: None when absent), and run(attacks, pub, args, *inputs),
+# which returns its AttackReport.
+_ATTACK_KINDS = {
+    "congruence": ((("ct", True),), lambda attacks, pub, args, ct:
+                   attacks.congruence_bruteforce(pub, ct, args.budget)),
+    "coppersmith": ((("priv", False),), lambda attacks, pub, args, d:
+                    attacks.coppersmith_feasibility(pub, d=d)),
+    "euclid": ((("known-answer", True), ("ct", True)), lambda attacks, pub, args, ka, ct:
+               attacks.euclid_division_check(pub, ct, ka["u"], ka["v"])),
+    "lattice": ((("known-answer", False), ("ct", True)), lambda attacks, pub, args, ka, ct:
+                attacks.lattice_attack(pub, ct, u_true=ka and ka["u"], v_true=ka and ka["v"])),
+    "factor-from-roots": ((("roots", True),), lambda attacks, pub, args, vs: attacks.AttackReport(
+        "factor-from-roots", attacks.VERDICT_RECOVERED, {"n": pub.n}, {},
+        dict(zip("pq", attacks.factor_from_roots(pub.e_a1, [vs[f] for f in _ROOT_FIELDS]))))),
+}
 
 
-# Only attack and bench use the attack lab and the timing harness (which loads
-# statistics and csv), so each handler imports its module and startup loads neither.
 def _cmd_attack(args):
-    from . import attacks
+    from . import attacks  # as bench below: only its command loads it, not startup
 
     pub = _load_public_key(args.pub)
-
-    def need_ct():
-        return cipher.parse_ciphertext(_read_text(_required(args, "ct")))
-
+    inputs, run = _ATTACK_KINDS[args.kind]
     t0 = time.perf_counter()
-    if args.kind == "congruence":
-        report = attacks.congruence_bruteforce(pub, need_ct(), args.budget)
-    elif args.kind == "coppersmith":
-        d = None if args.priv is None else _load_usable_keypair(args.pub, args.priv).private.d
-        report = attacks.coppersmith_feasibility(pub, d=d)
-    elif args.kind == "euclid":
-        ka = parse_fields(_read_text(_required(args, "known-answer")), ("u", "v"))
-        report = attacks.euclid_division_check(pub, need_ct(), ka["u"], ka["v"])
-    elif args.kind == "lattice":
-        ka = {}
-        if args.known_answer is not None:
-            ka = parse_fields(_read_text(args.known_answer), ("u", "v"))
-        report = attacks.lattice_attack(pub, need_ct(), u_true=ka.get("u"), v_true=ka.get("v"))
-    else:  # factor-from-roots
-        fields = ("v1", "v2", "v3", "v4")
-        vals = parse_fields(_read_text(_required(args, "roots")), fields)
-        p, q = attacks.factor_from_roots(pub.e_a1, [vals[f] for f in fields])
-        report = attacks.AttackReport("factor-from-roots", attacks.VERDICT_RECOVERED,
-                                      {"n": pub.n}, {}, {"p": p, "q": q})
+    values = []
+    for option, required in inputs:
+        path = getattr(args, option.replace("-", "_"))
+        if path is None and required:
+            raise ValueError(f"--{option} is required for --kind {args.kind}")
+        values.append(None if path is None else _ATTACK_INPUTS[option](args, path))
+    report = run(attacks, pub, args, *values)
     _emit(args.report, report_to_text(report, (time.perf_counter() - t0) * 1000.0))
 
 
 def _cmd_bench(args):
-    from . import bench
+    from . import bench  # the timing harness, which loads statistics and csv
 
     schemes = bench.SCHEMES if args.schemes is None else args.schemes.split(",")
     rows = bench.run_bench(schemes, args.n_list, reps=args.reps, seed=args.seed)

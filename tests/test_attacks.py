@@ -547,6 +547,20 @@ def test_lll_matches_rational_oracle_on_scaled_fibonacci_rows(k, shift, offsets,
     assert lll_reduce(basis) == rational_lll(basis)
 
 
+def test_lll_matches_rational_oracle_past_the_cofactor_cap():
+    # the scaled column's ratio is the continued fraction [1; 1, ..., 1, Q]
+    # with 100 ones and Q = 2^61 + 1: the pre-pass takes the ones as one run of
+    # nearly parallel Euclid steps, and then the size reduction by Q would lift
+    # row 1's cofactor sum to a 65-bit value, past cap = 2^64, so it breaks to
+    # a flush rather than trust the leading bits beyond their error bound e
+    fib = [0, 1]
+    while len(fib) < 102:
+        fib.append(fib[-1] + fib[-2])
+    q = (1 << 61) + 1
+    basis = [[1, 0, fib[101] * q + fib[100]], [0, 1, fib[100] * q + fib[99]]]
+    assert lll_reduce(basis) == rational_lll(basis)
+
+
 def test_lll_random_bases_postconditions():
     rng = random.Random(2024)
     checked = 0

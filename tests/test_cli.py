@@ -1317,17 +1317,21 @@ _RECORD_FIELDS = {
     "rct": None,
     "rct_ext": ("c", "parity", "jacobi"),
 }
+# The record file of each attack input option.
+_ATTACK_INPUT_FILES = {"ct": "ct", "priv": "priv", "known-answer": "ka", "roots": "roots"}
 _MUTATION_COMMANDS = (
     ("encrypt", "--pub", "{pub}", "--in", "{payload}", "--out", "{out}", "--seed", "0"),
     ("encrypt", "--pub", "{pub}", "--insecure-known-answer", "{record}", "--out", "{out}"),
     ("decrypt", "--pub", "{pub}", "--priv", "{priv}", "--in", "{ct}", "--out", "{out}"),
     ("validate", "--pub", "{pub}", "--priv", "{priv}"),
     ("validate", "--pub", "{pub}", "--priv", "{priv}", "--relaxed"),
-    ("attack", "--kind", "congruence", "--pub", "{pub}", "--ct", "{ct}", "--budget", "64"),
-    ("attack", "--kind", "coppersmith", "--pub", "{pub}", "--priv", "{priv}"),
-    ("attack", "--kind", "euclid", "--pub", "{pub}", "--ct", "{ct}", "--known-answer", "{ka}"),
-    ("attack", "--kind", "lattice", "--pub", "{pub}", "--ct", "{ct}", "--known-answer", "{ka}"),
-    ("attack", "--kind", "factor-from-roots", "--pub", "{pub}", "--roots", "{roots}"),
+    # each attack kind with the inputs its row reads
+    *(
+        ("attack", "--kind", kind, "--pub", "{pub}", "--budget", "64",
+         *(arg for option, _ in _ATTACK_KINDS[kind][0]
+           for arg in (f"--{option}", f"{{{_ATTACK_INPUT_FILES[option]}}}")))
+        for kind in _ATTACK_KINDS
+    ),
     *(
         ("rabin", "encrypt", "--pub", "{rpub}", "--in", "{payload}", "--out", "{out}",
          "--scheme", scheme)
@@ -1343,13 +1347,14 @@ _MUTATION_TARGETS = [
     (argv, name)
     for argv in _MUTATION_COMMANDS
     for name in re.findall(r"{(\w+)}", " ".join(argv))
-    if name in _RECORD_FIELDS
+    if name != "out"
 ]
 
 
 @functools.cache
 def _valid_record_files():
-    """Each file of _RECORD_FIELDS for a seeded n=16 key pair and an n=24 Rabin key, as bytes."""
+    """Each file of _RECORD_FIELDS for a seeded n=16 key pair and an n=24 Rabin key, and the
+    payload "ab", as bytes."""
     rng = random.Random(0)
     kp = generate_keypair(16, rng)
     msg = encode(b"hi", 16)
@@ -1370,11 +1375,13 @@ def _valid_record_files():
     files = {name: format_fields(zip(_RECORD_FIELDS[name], v)) for name, v in values.items()}
     files["ct"] = format_ciphertext(trace.ciphertext)
     files["rct"] = format_ciphertext(Ciphertext(rabin.encrypt_redundant(rkp.N, m, 8)))
-    return {name: text.encode() for name, text in files.items()}
+    return {"payload": b"ab", **{name: text.encode() for name, text in files.items()}}
 
 
 def _reads_as_record(name, path):
-    """Whether the CLI's reader and parser for this file accept it."""
+    """Whether the CLI's reader and parser for this file accept it (any bytes are a payload)."""
+    if name == "payload":
+        return True
     try:
         text = path.read_text(encoding="utf-8")
         if _RECORD_FIELDS[name] is None:
@@ -1386,29 +1393,45 @@ def _reads_as_record(name, path):
     return True
 
 
+# The zero of each digit set a mutation swaps in for ASCII digits: Arabic-Indic,
+# Devanagari and fullwidth.
+_NON_ASCII_ZEROS = (0x660, 0x966, 0xFF10)
+
+
 @settings(deadline=None)
 @given(target=st.sampled_from(_MUTATION_TARGETS), data=st.data())
 def test_mutated_input_files_end_in_a_documented_exit_code(target, data):
+    # runs in-process, so a traceback would be an exception out of main
     argv, name = target
     files = _valid_record_files()
     lines = files[name].splitlines(keepends=True)
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
     line = lines[i]
-    mutation = data.draw(st.sampled_from(("insert", "digits", "duplicate", "truncate")))
+    mutation = data.draw(st.sampled_from(
+        ("insert", "digits", "duplicate", "truncate", "bom", "crlf", "non-ascii", "random")))
     if mutation == "insert":
         at = data.draw(st.integers(0, len(line)), label="at")
-        lines[i] = line[:at] + data.draw(st.sampled_from((b"\x00", b"\xff\xfe", b"\r"))) + line[at:]
+        byte = data.draw(st.sampled_from((b"\x00", b"\xff\xfe", b"\r", b"\xc3", b"\xef\xbb\xbf")))
+        lines[i] = line[:at] + byte + line[at:]
     elif mutation == "digits":  # the value becomes 5,000 decimal digits
         lines[i] = b"".join(line.rpartition(b"= ")[:2]) + b"9" * 5000 + b"\n"
     elif mutation == "duplicate":
         lines.insert(i, line)
-    else:
+    elif mutation == "truncate":
         lines[i] = line[: data.draw(st.integers(0, len(line) - 2), label="keep")] + b"\n"
+    elif mutation == "bom":  # a UTF-8 byte order mark before the first line
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+    elif mutation == "crlf":  # Windows line ends throughout
+        lines = [x.replace(b"\n", b"\r\n") for x in lines]
+    elif mutation == "non-ascii":  # the line's digits in another script
+        zero = data.draw(st.sampled_from(_NON_ASCII_ZEROS))
+        lines[i] = re.sub(rb"[0-9]", lambda m: chr(zero + int(m[0])).encode(), line)
+    else:
+        lines[i] = data.draw(st.binary(max_size=64), label="bytes")
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {key: Path(tmp, key) for key in (*files, "payload", "out")}
+        paths = {key: Path(tmp, key) for key in (*files, "out")}
         for key, content in files.items():
             paths[key].write_bytes(content)
         paths[name].write_bytes(b"".join(lines))
-        paths["payload"].write_bytes(b"ab")
         code = run(*(arg.format(**paths) for arg in argv))
         assert code in ((0, 2, 4, 5) if _reads_as_record(name, paths[name]) else (2, 4, 5))
