@@ -985,3 +985,49 @@ def test_seeded_lll_reduce_digest():
             for row in lll_reduce(build_lattice(kp.public, ct, scale)):
                 h.update((",".join(map(_canonical, row)) + "\n").encode())
     assert h.hexdigest() == _SEEDED_LLL_SHA256
+
+
+def _gate_instances(n):
+    """(pub, ct, u, v) at n: honest keys, e_a2 raised by p*q*2^64 and by p*q*2^(20n), a key
+    with e_a1 = e_a2, and a ciphertext crafted to force a half-integer size reduction."""
+    instances = []
+    for seed in range(8):
+        kp, trace = _random_instance(n, seed, "gate", (None, None, 64, 20 * n)[seed // 2])
+        instances.append((kp.public, trace.ciphertext, trace.u, trace.v))
+    pub, ct = instances[0][:2]
+    instances.append((PublicKey(n, pub.e_a1, pub.e_a1), ct, None, None))
+    for pub, *_ in instances[:8]:
+        g = math.gcd(pub.e_a1, pub.e_a2)
+        a, b = pub.e_a1 // g, pub.e_a2 // g
+        if a % 2 and b % 2:
+            # C*(s*b - t*a) = (a^2 + b^2)/2 (mod a^2 + b^2), s*a + t*b = 1: mu_20 is then
+            # a half-integer once row 2 is reduced against the Bezout row
+            s = pow(a, -1, b)
+            t, norm = (1 - s * a) // b, a * a + b * b
+            instances.append((pub, Ciphertext(norm // 2 * pow(s * b - t * a, -1, norm) % norm),
+                              None, None))
+    return instances
+
+
+def _report_line(report):
+    """Every field of a report, dict entries sorted by name, floats in full."""
+    sections = (report.params, report.diagnostics, report.recovered)
+    return repr((report.attack, report.verdict,
+                 *(None if s is None else sorted(s.items()) for s in sections)))
+
+
+# SHA-256 of every lattice_attack report test_lattice_attack_reports_digest makes.
+_LATTICE_REPORTS_SHA256 = "4f15a5a3762c9a5836ccdee521d4b65d82f2dadb035640bbac5f7689229f2a0e"
+
+
+def test_lattice_attack_reports_digest():
+    # each instance runs at scales auto, preset, 1, 3, 2^(L-2) and 2^(L+1), L the larger
+    # coefficient's bit length; with coprime coefficients (g = 1) the first of the last two
+    # is at or below sqrt(2(a^2 + b^2)) / g and the second above it
+    h = hashlib.sha256()
+    for n in (8, 16, 32, 64, 128):
+        for pub, ct, u, v in _gate_instances(n):
+            bits = max(pub.e_a1, pub.e_a2).bit_length()
+            for scale in ("auto", preset_scale(n), 1, 3, 1 << (bits - 2), 1 << (bits + 1)):
+                h.update((_report_line(lattice_attack(pub, ct, scale, u, v)) + "\n").encode())
+    assert h.hexdigest() == _LATTICE_REPORTS_SHA256
