@@ -359,6 +359,20 @@ def lll_reduce(basis):
 _COEFF_BOUND = 4
 
 
+def _attack_basis(pub, ct, scale):
+    """build_lattice's rows with rows 0 and 1 in the closed form of lattice_attack."""
+    rows = build_lattice(pub, ct, scale)
+    g = math.gcd(pub.e_a1, pub.e_a2) or 1
+    a, b = pub.e_a1 // g, pub.e_a2 // g
+    norm = a * a + b * b
+    if min(a, b) < 1 or a == b or (g * scale) ** 2 <= 2 * norm:
+        return rows
+    s = pow(a, -1, b)
+    t = (1 - s * a) // b
+    k = (2 * (s * b - t * a) + norm) // (2 * norm)
+    return [[b, -a, 0], [s - k * b, t + k * a, g * scale], rows[2]]
+
+
 def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     """Reduce the attack lattice and search short vectors for (U, V^2, 0).
 
@@ -376,12 +390,26 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     combinations with c1*z1 + c2*z2 = 1 can meet C and go to the check.
     Supplying the true (U, V) adds known-answer diagnostics (target norm,
     lattice membership). A ciphertext below 1 raises ValueError.
+
+    _attack_basis puts rows 0 and 1 in closed form: with g = gcd(e_a1, e_a2),
+    a = e_a1/g, b = e_a2/g, s = a^-1 mod b (0 if b = 1) and t = (1 - s*a)/b, so
+    s*e_a1 + t*e_a2 = g, they are v = (b, -a, 0) and w = (s - k*b, t + k*a, g*T),
+    k the nearest integer to (s*b - t*a)/(a^2 + b^2): build_lattice's rows times a
+    matrix of determinant 1. A key-row vector with a nonzero third coordinate is at
+    least g*T long, and the pre-pass's delta = 3/4 pair has |b_0|^2 <= 2 lambda_1^2
+    <= 2(a^2 + b^2). So the pre-pass turns build_lattice's rows into (+-v, +-w) and
+    leaves (v, w) as they are, unless e_a1 < 1, e_a2 < 1, (g*T)^2 <= 2(a^2 + b^2) or
+    a = b, where build_lattice's rows stay (as (s*b - t*a)^2 + 1 = (s^2 + t^2)(a^2 +
+    b^2), only a = b = 1 lets |mu_10| = 1/2 tie). Integral LLL and the report do not see row
+    signs, save in two cases this leaves uncovered: a main-loop mu_kj of exactly
+    +-3/2, +-5/2, ... (both roundings give rows of equal norm, but the bases may
+    part there), and two passing combinations the search meets in either order.
     """
     if ct.c < 1:
         raise ValueError("ciphertext must be positive")
     n = pub.n
     scale_int = 1 << (ct.c.bit_length() + 2) if scale == "auto" else int(scale)
-    reduced = lll_reduce(build_lattice(pub, ct, scale_int))
+    reduced = lll_reduce(_attack_basis(pub, ct, scale_int))
     zero_rows = [r for r in reduced if r[2] == 0]
     scale_rows = [r for r in reduced if abs(r[2]) == scale_int]
 

@@ -142,10 +142,14 @@ def check_public_key(pub):
 _MAX_N = 1 << 14
 
 
-def _check_size(kind, n, *primes):
-    """Raise InconsistentKey for n above _MAX_N or a prime above n+1 bits; e_a1, e_a2, d are not capped."""
-    if n > _MAX_N or any(x.bit_length() > n + 1 for x in primes):
-        raise InconsistentKey(f"{kind} key too large: n above {_MAX_N}, or p or q above n+1 bits")
+def _check_size(kind, n, *primes, coefficients=()):
+    """Raise InconsistentKey for n above _MAX_N, a prime above n+1 bits, or e_a1 or e_a2 above 32n
+    bits (the lattice attack's cost grows with their square; the tests' weakest key, e_a2 raised
+    by p*q*2^(20n), has about 22n + 2 bits); d is not capped."""
+    if n > _MAX_N or any(x.bit_length() > n + 1 for x in primes) or any(
+            e.bit_length() > 32 * n for e in coefficients):
+        raise InconsistentKey(f"{kind} key too large: n above {_MAX_N}, p or q above n+1 bits, "
+                              "or e_a1 or e_a2 above 32n bits")
 
 
 _PUBLIC_FIELDS = ("n", "eA1", "eA2")
@@ -203,7 +207,7 @@ def format_public_key(pub):
 
 def parse_public_key(text):
     v = parse_fields(text, _PUBLIC_FIELDS)
-    _check_size("public", v["n"])
+    _check_size("public", v["n"], coefficients=(v["eA1"], v["eA2"]))
     return PublicKey(v["n"], v["eA1"], v["eA2"])
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -814,6 +815,94 @@ def test_auto_scale_zero_tail_in_first_two_rows(lattice):
     assert reduced[2][2] != 0
 
 
+def _dot(x, y):
+    return sum(i * j for i, j in zip(x, y))
+
+
+def _tie_ciphertext(pub, j=0):
+    """For odd a, b, a ciphertext whose mu_20 is a half-integer once row 2 is size-reduced against
+    the Bezout row: C*(s*b - t*a) = (a^2 + b^2)/2 (mod a^2 + b^2), s*a + t*b = 1; else None."""
+    g = math.gcd(pub.e_a1, pub.e_a2)
+    a, b = pub.e_a1 // g, pub.e_a2 // g
+    if not a % 2 == b % 2 == 1:
+        return None
+    s = pow(a, -1, b)
+    t, norm = (1 - s * a) // b, a * a + b * b
+    return Ciphertext(norm // 2 * pow(s * b - t * a, -1, norm) % norm + j * norm)
+
+
+def test_attack_basis_rows_are_a_reduced_basis_of_the_key_rows():
+    # rows 0 and 1 are (x, y, (x*e_a1 + y*e_a2)*T) with x, y from a matrix of determinant
+    # +-1, so they span build_lattice's rows 0 and 1; |mu_10| <= 1/2 and the Lovasz test
+    # hold, so lll_reduce's pre-pass leaves them as they are and turns the old rows into
+    # them up to sign
+    instances = [(kp.public, trace.ciphertext) for kp, trace in (
+        _random_instance(n, seed, "basis", shift)
+        for n in (8, 32, 128) for seed, shift in ((0, None), (1, 64), (2, 20 * n)))]
+    # g = 5 with a = 1, b = 7; g = 4 with b = 1 (s = 0); a = 1 with b = 6
+    instances += [(PublicKey(8, *e), Ciphertext(1 << 70)) for e in ((5, 35), (12, 4), (1, 6))]
+    checked = 0
+    for pub, ct in instances:
+        for scale in (3, preset_scale(pub.n), 1 << (ct.c.bit_length() + 2)):
+            old, new = build_lattice(pub, ct, scale), attacks._attack_basis(pub, ct, scale)
+            if new == old:
+                continue
+            (x0, y0, _), (x1, y1, _) = v, w = new[:2]
+            rows = [[x, y, (x * pub.e_a1 + y * pub.e_a2) * scale] for x, y in ((x0, y0), (x1, y1))]
+            assert rows == new[:2]
+            assert abs(x0 * y1 - y0 * x1) == 1 and new[2] == old[2]
+            assert 2 * abs(_dot(w, v)) < _dot(v, v) and 4 * _dot(w, w) >= 3 * _dot(v, v)
+            assert lll_reduce(new[:2]) == new[:2]
+            assert all(row in (r, [-x for x in r]) for row, r in zip(lll_reduce(old[:2]), new[:2]))
+            checked += 1
+    assert checked == 23  # scale 3 is below the guard on 10 keys, preset_scale(n) on 3
+    assert attacks._attack_basis(PublicKey(8, 5, 35), Ciphertext(9), 3)[:2] == [[7, -1, 0], [1, 0, 15]]
+
+
+@pytest.mark.parametrize("e_a1, e_a2, scale", [
+    (0, 7, 1 << 64), (-5, 7, 1 << 64), (5, 0, 1 << 64), (5, -7, 1 << 64), (0, 0, 1 << 64),
+    (5, 35, 2),  # g = 5, a = 1, b = 7: (g*T)^2 = 100 = 2(a^2 + b^2); scale 3 passes (test above)
+    ((1 << 40) + 1, (1 << 40) + 1, 1 << 64),  # a = b = 1
+], ids=["e_a1-0", "e_a1-negative", "e_a2-0", "e_a2-negative", "both-0", "scale-at-bound",
+        "a-equals-b"])
+def test_attack_basis_falls_back_to_build_lattice(e_a1, e_a2, scale):
+    pub, ct = PublicKey(8, e_a1, e_a2), Ciphertext(12345)
+    assert attacks._attack_basis(pub, ct, scale) == build_lattice(pub, ct, scale)
+
+
+@st.composite
+def _lattice_attack_inputs(draw):
+    """(pub, ct, scale): an honest key, one with e_a2 raised by p*q*2^s, or random coefficients,
+    at n in [8, 64]; a key's own ciphertext or, when a and b are odd, one that forces a
+    half-integer size reduction; scale auto, preset, 1, 3, a power of two or any integer."""
+    n = draw(st.integers(8, 64))
+    kind = draw(st.sampled_from(("honest", "weak", "random")))
+    if kind == "random":
+        pub = PublicKey(n, *(draw(st.integers(-2, 1 << draw(st.integers(1, 8 * n))))
+                             for _ in range(2)))
+        ct = Ciphertext(draw(st.integers(1, 1 << 8 * n)))
+    else:
+        shift = draw(st.integers(0, 20 * n)) if kind == "weak" else None
+        kp, trace = _random_instance(n, draw(st.integers(0, 10**6)), "basis", shift)
+        pub, ct = kp.public, trace.ciphertext
+        tie = _tie_ciphertext(pub, draw(st.integers(0, 1 << 4 * n)))
+        if tie and draw(st.booleans()):
+            ct, kind = tie, kind + " tie"
+    event(kind)
+    scale = draw(st.sampled_from(("auto", preset_scale(n), 1, 3))
+                 | st.integers(0, 24 * n).map(lambda k: 1 << k) | st.integers(1, 1 << 24 * n))
+    return pub, ct, scale
+
+
+@settings(deadline=None)
+@given(_lattice_attack_inputs())
+def test_lattice_attack_report_is_the_one_build_lattice_gives(inputs):
+    pub, ct, scale = inputs
+    report = lattice_attack(pub, ct, scale)
+    with mock.patch.object(attacks, "_attack_basis", build_lattice):
+        assert lattice_attack(pub, ct, scale) == report
+
+
 # --- factoring from roots ---
 
 
@@ -996,16 +1085,7 @@ def _gate_instances(n):
         instances.append((kp.public, trace.ciphertext, trace.u, trace.v))
     pub, ct = instances[0][:2]
     instances.append((PublicKey(n, pub.e_a1, pub.e_a1), ct, None, None))
-    for pub, *_ in instances[:8]:
-        g = math.gcd(pub.e_a1, pub.e_a2)
-        a, b = pub.e_a1 // g, pub.e_a2 // g
-        if a % 2 and b % 2:
-            # C*(s*b - t*a) = (a^2 + b^2)/2 (mod a^2 + b^2), s*a + t*b = 1: mu_20 is then
-            # a half-integer once row 2 is reduced against the Bezout row
-            s = pow(a, -1, b)
-            t, norm = (1 - s * a) // b, a * a + b * b
-            instances.append((pub, Ciphertext(norm // 2 * pow(s * b - t * a, -1, norm) % norm),
-                              None, None))
+    instances += [(pub, tie, None, None) for pub, *_ in instances[:8] if (tie := _tie_ciphertext(pub))]
     return instances
 
 

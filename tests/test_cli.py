@@ -874,6 +874,21 @@ def test_key_above_the_size_bound_exits_4_at_once(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", _KEY_COMMANDS, ids=lambda argv: "-".join(argv[:3]))
+def test_coefficient_above_32n_bits_exits_4_at_once(tmp_path, capsys, argv):
+    # e_a2 raised by p*q*2^400000 at n = 64 still inverts d mod p*q, so relaxed validation
+    # accepts it; without the 32n-bit cap, attack --kind lattice took seconds on it
+    paths = _crafted_key_files(tmp_path, 64, random.Random(0))
+    pub = parse_public_key(paths["pub"].read_text())
+    pq = parse_private_key(paths["priv"].read_text())[0].pq
+    paths["pub"].write_text(format_public_key(pub._replace(e_a2=pub.e_a2 + (pq << 400_000))))
+    t0 = time.perf_counter()
+    assert run(*(arg.format(out=tmp_path / "out", **paths) for arg in argv)) == 4
+    assert time.perf_counter() - t0 < 0.5
+    assert "public key too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rabin_ambiguity_message_prints_no_root_in_decimal(tmp_path, capsys):
     # Mersenne primes, both 3 (mod 4): the roots have over 1,000 decimal digits
     p, q = (1 << 1279) - 1, (1 << 2203) - 1

@@ -322,11 +322,15 @@ _KEY_FILE_INT = st.integers(0, 2**20000)  # past the 4300-digit decimal limit
 @example(keys._MAX_N + 1, 7, 7, 0)
 @example(16, 2**17 - 1, 7, 2**100_000)
 @example(16, 2**18 - 1, 7, 0)
+@example(16, 2**512 - 1, 2**511, 0)
+@example(16, 7, 2**512, 0)
 def test_key_files_round_trip_any_size(n, a, b, c):
-    # e_a1, e_a2 and d have no cap; n above _MAX_N, or p or q above n + 1 bits, is refused
+    # d has no cap; n above _MAX_N, p or q above n + 1 bits, or e_a1 or e_a2 above 32n bits
+    # is refused
     pub, priv = PublicKey(n, a, b), PrivateKey(a, b, c)
     for parse, text, value, too_large in (
-        (parse_public_key, format_public_key(pub), pub, n > keys._MAX_N),
+        (parse_public_key, format_public_key(pub), pub,
+         n > keys._MAX_N or max(a, b).bit_length() > 32 * n),
         (parse_private_key, format_private_key(priv, n), (priv, n),
          n > keys._MAX_N or max(a, b).bit_length() > n + 1),
     ):
