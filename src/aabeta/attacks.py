@@ -235,35 +235,21 @@ def preset_scale(n):
     return 1 << (20 * n)
 
 
-# Leading bits of the Gram entries on which lll_reduce's k=1 phase decides.
-_GAUSS_BITS = 256
-
-
 def lll_reduce(basis):
     """Integral LLL with delta = 3/4 (de Weger 1987; Cohen, Alg. 2.6.7).
 
     d_0 = 1, d_i+1 = |b*_0|^2 ... |b*_i|^2 and lam_ij = d_j+1 * mu_ij stay
-    exact integers. A Gauss pre-pass first Lagrange-Gauss reduces rows 0 and 1
-    on n0 = |b_0|^2, g = <b_1, b_0> and n1 = |b_1|^2 alone (the k=1 size
-    reduction and Lovasz test 4 n1 >= 3 n0, since d_0 = 1). It decides on the
-    leading _GAUSS_BITS of the Gram entries (Lehmer 1938): with the entries
-    shifted right by s and the steps so far as a unimodular m whose
-    c_i >= |m_i0| + |m_i1| stay within cap = 2^(_GAUSS_BITS/4), every true
-    entry / 2^s lies within e = cap^2 of the computed one, and a step is
-    taken only when every value within e of each entry gives it. The first
-    uncertain step flushes m into the exact entries; when no step was
-    certain, one is taken on the exact entries. Rows 0 and 1 are multiplied
-    by the composed transform once, at the end. The pre-pass leaves d_1 = n0,
-    lam_10 = g and d_2 = n0 n1 - g^2 of the reduced rows; d_2 = 0, dependent
-    rows 0 and 1 (the steps then end at a zero row 0), raises ValueError. One
-    Gram-Schmidt pass then computes d and lam of rows 2 and on; a dependent
-    row raises ValueError. Integral LLL runs from k = 2: row k is
-    size-reduced against j = k-1 down to 0 when 2|lam_kj| > d_j+1, by
-    r = (2 lam_kj + d_j+1) // (2 d_j+1) = floor(mu_kj + 1/2). The d_k a swap
-    would give, new_dk = (d_k-1 d_k+1 + lam_k,k-1^2) / d_k, is an exact
-    quotient, and rows k-1 and k swap while the Lovasz test 4 new_dk >= 3 d_k
-    fails; a swap updates lam of rows k+1..dim-1. The output spans the same
-    lattice with |mu_ij| <= 1/2. Meant for small dimensions.
+    exact integers. The Gram-Schmidt pass computes d and lam of each row from
+    the current rows when k first reaches it (k_max); a linearly dependent
+    row, a zero row included, raises ValueError there. Integral LLL runs from
+    k = 1: row k is size-reduced against j = k-1 down to 0 when 2|lam_kj| >
+    d_j+1, by r = (2 lam_kj + d_j+1) // (2 d_j+1) = floor(mu_kj + 1/2). The
+    d_k a swap would give, new_dk = (d_k-1 d_k+1 + lam_k,k-1^2) / d_k, is an
+    exact quotient, and rows k-1 and k swap while the Lovasz test 4 new_dk >=
+    3 d_k fails; a swap updates lam of rows k+1..k_max-1 alone. At k = 1
+    (d_0 = 1) these steps are Lagrange-Gauss reduction of rows 0 and 1, and
+    no later row's lam pays for them. The output spans the same lattice with
+    |mu_ij| <= 1/2. Meant for small dimensions.
     """
     b = [[int(x) for x in row] for row in basis]
     dim = len(b)
@@ -271,65 +257,23 @@ def lll_reduce(basis):
         raise ValueError("rows must have equal length")
     d = [1] * (dim + 1)
     lam = [[0] * dim for _ in range(dim)]
-    if dim >= 2:
-        n0, g, n1 = (sum(x * y for x, y in zip(b[i], b[j])) for i, j in ((0, 0), (1, 0), (1, 1)))
-        t, stop = (1, 0, 0, 1), False  # rows 0, 1 = t times the input's
-        while not stop:
-            s = max(0, max(n0, n1).bit_length() - _GAUSS_BITS)
-            a0, ag, a1 = n0 >> s, g >> s, n1 >> s
-            x, y, z, w = 1, 0, 0, 1  # m = [[x, y], [z, w]], the steps since the flush
-            c0 = c1 = int(s > 0)  # e = 0 when s = 0: the entries are exact
-            cap = c0 << (_GAUSS_BITS // 4)
-            e = cap * cap
-            e2, e3, e7 = 2 * e, 3 * e, 7 * e
-            while a0 > e:
-                r, lo = divmod(2 * ag + a0, 2 * a0)  # lo = 2 ag - (2r - 1) a0
-                q = abs(r)
-                slack = q * e2 + e3  # bounds the error of lo and of 2 a0 - lo
-                if lo <= slack or 2 * a0 - lo <= slack:
-                    break
-                if r:
-                    c = c1 + q * c0
-                    if c > cap:
-                        break
-                    a1 += r * (r * a0 - 2 * ag)
-                    ag -= r * a0
-                    z, w, c1 = z - r * x, w - r * y, c
-                lovasz = 4 * a1 - 3 * a0  # within 7e of the true value
-                if lovasz + e7 >= 0:
-                    stop = lovasz >= e7
-                    break
-                a0, a1, c0, c1, x, y, z, w = a1, a0, c1, c0, z, w, x, y
-            if not stop and (x, y, z, w) == (1, 0, 0, 1):  # nothing certain: one exact step
-                r = (2 * g + n0) // (2 * n0) if 2 * abs(g) > n0 else 0
-                stop = 4 * (n1 + r * (r * n0 - 2 * g)) >= 3 * n0
-                x, y, z, w = (1, 0, -r, 1) if stop else (-r, 1, 1, 0)
-            n0, g, n1 = (
-                x * x * n0 + 2 * x * y * g + y * y * n1,
-                x * z * n0 + (x * w + y * z) * g + y * w * n1,
-                z * z * n0 + 2 * z * w * g + w * w * n1,
-            )
-            t = (x * t[0] + y * t[2], x * t[1] + y * t[3], z * t[0] + w * t[2], z * t[1] + w * t[3])
-        b[0], b[1] = (
-            [t[0] * x + t[1] * y for x, y in zip(b[0], b[1])],
-            [t[2] * x + t[3] * y for x, y in zip(b[0], b[1])],
-        )
-        d[1], d[2], lam[1][0] = n0, n0 * n1 - g * g, g
-        if d[2] == 0:  # Cauchy-Schwarz equality, a zero row included
-            raise ValueError("basis rows are linearly dependent")
-    for k in range(2 if dim >= 2 else 0, dim):
-        for j in range(k + 1):
-            u = sum(x * y for x, y in zip(b[k], b[j]))
-            for t in range(j):
-                u = (d[t + 1] * u - lam[k][t] * lam[j][t]) // d[t]
-            if j < k:
-                lam[k][j] = u
-            elif u == 0:
-                raise ValueError("basis rows are linearly dependent")
-            else:
-                d[k + 1] = u
-    k = 2
+    k = k_max = 0  # rows below k_max have their d and lam
     while k < dim:
+        if k == k_max:
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for t in range(j):
+                    u = (d[t + 1] * u - lam[k][t] * lam[j][t]) // d[t]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("basis rows are linearly dependent")
+                else:
+                    d[k + 1] = u
+            k_max += 1
+            if k == 0:
+                k = 1
+                continue
         for j in range(k - 1, -1, -1):
             if 2 * abs(lam[k][j]) > d[j + 1]:
                 r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
@@ -346,7 +290,7 @@ def lll_reduce(basis):
         b[k - 1], b[k] = b[k], b[k - 1]
         lam[k - 1], lam[k] = lam[k], lam[k - 1]
         lam[k][k - 1] = lk
-        for i in range(k + 1, dim):
+        for i in range(k + 1, k_max):
             t = lam[i][k]
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
             lam[i][k - 1] = (new_dk * t + lk * lam[i][k]) // d[k + 1]
@@ -396,13 +340,14 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     s*e_a1 + t*e_a2 = g, they are v = (b, -a, 0) and w = (s - k*b, t + k*a, g*T),
     k the nearest integer to (s*b - t*a)/(a^2 + b^2): build_lattice's rows times a
     matrix of determinant 1. A key-row vector with a nonzero third coordinate is at
-    least g*T long, and the pre-pass's delta = 3/4 pair has |b_0|^2 <= 2 lambda_1^2
-    <= 2(a^2 + b^2). So the pre-pass turns build_lattice's rows into (+-v, +-w) and
-    leaves (v, w) as they are, unless e_a1 < 1, e_a2 < 1, (g*T)^2 <= 2(a^2 + b^2) or
-    a = b, where build_lattice's rows stay (as (s*b - t*a)^2 + 1 = (s^2 + t^2)(a^2 +
-    b^2), only a = b = 1 lets |mu_10| = 1/2 tie). Integral LLL and the report do not see row
-    signs, save in two cases this leaves uncovered: a main-loop mu_kj of exactly
-    +-3/2, +-5/2, ... (both roundings give rows of equal norm, but the bases may
+    least g*T long, and the delta = 3/4 pair that LLL's k = 1 phase (Lagrange-Gauss)
+    leaves has |b_0|^2 <= 2 lambda_1^2 <= 2(a^2 + b^2). So that phase turns
+    build_lattice's rows into (+-v, +-w) and leaves (v, w) as they are, unless
+    e_a1 < 1, e_a2 < 1, (g*T)^2 <= 2(a^2 + b^2) or a = b, where build_lattice's rows
+    stay (as (s*b - t*a)^2 + 1 = (s^2 + t^2)(a^2 + b^2), only a = b = 1 lets
+    |mu_10| = 1/2 tie). Integral LLL and the report do not see row signs, save in two
+    cases this leaves uncovered: a mu_kj of exactly +-3/2, +-5/2, ... once row 2
+    takes part (both roundings give rows of equal norm, but the bases may
     part there), and two passing combinations the search meets in either order.
     """
     if ct.c < 1:

@@ -67,6 +67,17 @@ def encrypt_trace(pub, msg, eph):
     return EncryptionTrace(u, v, Ciphertext(c))
 
 
+def _in_range(pub, ct):
+    """ct, if C lies in [C_lo, C_hi], the C = U*e_a1 + V^2*e_a2 of every U in
+    [(2^(3n)+1)*2^n, 2^(4n+1)-1] and V in (2^(2n-2), 2^(2n-1)); else InvalidCiphertext."""
+    n = pub.n
+    c_lo = (((1 << 3 * n) + 1) << n) * pub.e_a1 + ((1 << 2 * n - 2) + 1) ** 2 * pub.e_a2
+    c_hi = ((1 << 4 * n + 1) - 1) * pub.e_a1 + ((1 << 2 * n - 1) - 1) ** 2 * pub.e_a2
+    if not c_lo <= ct.c <= c_hi:
+        raise InvalidCiphertext("ciphertext outside the range of the public key")
+    return ct
+
+
 def decrypt(kp, ct):
     """Recover the message pair from a ciphertext.
 
@@ -83,13 +94,9 @@ def decrypt(kp, ct):
     """
     pub, priv = kp.public, kp.private
     n = pub.n
-    c = ct.c
+    c = _in_range(pub, ct).c
     v_lo = 1 << (2 * n - 2)
     v_hi = 1 << (2 * n - 1)
-    c_lo = (((1 << 3 * n) + 1) << n) * pub.e_a1 + (v_lo + 1) ** 2 * pub.e_a2
-    c_hi = ((1 << 4 * n + 1) - 1) * pub.e_a1 + (v_hi - 1) ** 2 * pub.e_a2
-    if not c_lo <= c <= c_hi:
-        raise InvalidCiphertext("ciphertext outside the range of the public key")
     p, q = priv.p, priv.q
     try:
         w = c * priv.d % priv.pq

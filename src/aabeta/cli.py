@@ -172,8 +172,10 @@ _ATTACK_KINDS = {
                     attacks.coppersmith_feasibility(pub, d=d)),
     "euclid": ((("known-answer", True), ("ct", True)), lambda attacks, pub, args, ka, ct:
                attacks.euclid_division_check(pub, ct, ka["u"], ka["v"])),
+    # decrypt's range check first: in range, LLL never gets build_lattice's raw rows
     "lattice": ((("known-answer", False), ("ct", True)), lambda attacks, pub, args, ka, ct:
-                attacks.lattice_attack(pub, ct, u_true=ka and ka["u"], v_true=ka and ka["v"])),
+                attacks.lattice_attack(pub, cipher._in_range(pub, ct),
+                                       u_true=ka and ka["u"], v_true=ka and ka["v"])),
     "factor-from-roots": ((("roots", True),), lambda attacks, pub, args, vs: attacks.AttackReport(
         "factor-from-roots", attacks.VERDICT_RECOVERED, {"n": pub.n}, {},
         dict(zip("pq", attacks.factor_from_roots(pub.e_a1, [vs[f] for f in _ROOT_FIELDS]))))),

@@ -25,6 +25,7 @@ from aabeta.attacks import (
     preset_scale,
 )
 from aabeta.cipher import Ciphertext, decrypt, encrypt_trace, sample_ephemerals
+from aabeta.cli import _ATTACK_KINDS
 from aabeta.codec import capacity_bytes, encode
 from aabeta.errors import FactoringFailure, InconsistentKey, InvalidCiphertext
 from aabeta.keys import KeyPair, PublicKey, generate_keypair, validate_keypair
@@ -32,6 +33,7 @@ from aabeta.numtheory import four_roots, sqrt_mod_p_3mod4
 
 import vectors
 from reference import (
+    ciphertext_range,
     determinant,
     linear_congruence_scan,
     oversized_e_a2_instances,
@@ -457,9 +459,9 @@ def test_lll_rejects_single_zero_row():
 
 
 def test_lll_rejects_dependent_row_after_swaps():
-    # rows 0 and 1 swap in the Gauss pre-pass; row 3, the sum of rows 0-2
-    # (determinant 1), is dependent beyond the first two rows, so the
-    # Gram-Schmidt pass after the pre-pass rejects it
+    # rows 0 and 1 swap at k = 1; row 3, the sum of rows 0-2 (determinant 1),
+    # is dependent beyond the first two rows, so the Gram-Schmidt step
+    # rejects it when k first reaches it, after the swaps
     basis = [[5, 3, 4, 0], [3, 2, 2, 0], [1, 1, 1, 0], [9, 6, 7, 0]]
     with pytest.raises(ValueError):
         lll_reduce(basis)
@@ -472,7 +474,7 @@ def test_lll_rejects_dependent_row_after_swaps():
     [[[0, 0], [1, 2]], [[1, 2], [0, 0]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]],
 )
 def test_lll_rejects_zero_row_in_first_two(basis):
-    # d_2 = |b_0|^2 |b_1|^2 - <b_1, b_0>^2 = 0 is rejected after the Gauss pre-pass
+    # a zero row 0 (d_1 = 0) or a zero row 1 (d_2 = 0) is rejected by the Gram-Schmidt step
     with pytest.raises(ValueError):
         lll_reduce(basis)
     with pytest.raises(ValueError):
@@ -481,9 +483,9 @@ def test_lll_rejects_zero_row_in_first_two(basis):
 
 @pytest.mark.parametrize("shift", [0, 300, 3000])
 def test_lll_rejects_dependent_rows_after_a_long_k1_phase(shift):
-    # rows 0 and 1 are F(301) and F(300) times one vector, so the pre-pass is a
-    # Euclidean algorithm of about 300 steps, through flushes and exact steps,
-    # down to a zero row 0, and then d_2 = 0 rejects the basis
+    # rows 0 and 1 are F(301) and F(300) times one vector, so d_2 = 0 and the
+    # Gram-Schmidt step rejects the basis before LLL's k = 1 phase, which would
+    # run a Euclidean algorithm of about 300 steps down to a zero row
     fib = [0, 1]
     while len(fib) < 302:
         fib.append(fib[-1] + fib[-2])
@@ -502,9 +504,8 @@ def test_lll_lovasz_equality_at_k1_on_two_rows():
 
 
 def test_lll_swaps_when_the_leading_bits_hide_a_failing_lovasz_test():
-    # 4 n1 - 3 n0 = -3, but on the leading 256 bits of the Gram entries the
-    # Lovasz value reads exactly 0, inside its error bound: the pre-pass must
-    # leave the test to an exact step, which swaps the rows
+    # 4 n1 - 3 n0 = -3 on Gram entries of about 1000 bits: only their low
+    # bits fail the Lovasz test at k = 1, and the rows swap
     h = 1 << 499
     basis = [[2 * h, 1, 0, 0, 0], [0, 0, h, h, h]]
     assert lll_reduce(basis) == rational_lll(basis) == [basis[1], basis[0]]
@@ -538,8 +539,7 @@ def test_lll_matches_rational_oracle_after_long_k1_phase(rows):
 @example(k=600, shift=1000, offsets=(0, 0), sign=1)
 def test_lll_matches_rational_oracle_on_scaled_fibonacci_rows(k, shift, offsets, sign):
     # F(k+1) and F(k) times 2^shift make the k=1 phase a Euclidean algorithm of
-    # about k swaps on Gram entries of up to 2 shift + 1.4 k bits, so it decides
-    # on their leading bits through several flushes and exact steps
+    # about k swaps on Gram entries of up to 2 shift + 1.4 k bits
     fib = [0, 1]
     while len(fib) < k + 2:
         fib.append(fib[-1] + fib[-2])
@@ -550,10 +550,8 @@ def test_lll_matches_rational_oracle_on_scaled_fibonacci_rows(k, shift, offsets,
 
 def test_lll_matches_rational_oracle_past_the_cofactor_cap():
     # the scaled column's ratio is the continued fraction [1; 1, ..., 1, Q]
-    # with 100 ones and Q = 2^61 + 1: the pre-pass takes the ones as one run of
-    # nearly parallel Euclid steps, and then the size reduction by Q would lift
-    # row 1's cofactor sum to a 65-bit value, past cap = 2^64, so it breaks to
-    # a flush rather than trust the leading bits beyond their error bound e
+    # with 100 ones and Q = 2^61 + 1: LLL's k = 1 phase takes the ones as a
+    # run of nearly parallel Euclid steps, then one size reduction by Q
     fib = [0, 1]
     while len(fib) < 102:
         fib.append(fib[-1] + fib[-2])
@@ -648,12 +646,11 @@ _S = 1 << 400
 @example([[-1, 0, 1], [-3, 0, 1], [1, 1, -2]])  # Lovasz test holds with equality
 @example([[2, 0, 0], [1, 1, 1], [0, 0, 5]])  # ... at k=1: 4 |b_1|^2 = 3 |b_0|^2
 @example([[2, 0], [-1, 1]])  # <b_1, b_0> = -|b_0|^2 / 2: no size reduction
-# the same ties with Gram entries of about 800 bits, far wider than the leading
-# bits the k=1 phase decides on: it must fall back to an exact step
+# the same ties with Gram entries of about 800 bits
 @example([[2 * _S, 0], [_S, _S]])
 @example([[2 * _S, 0], [-_S, _S]])
 @example([[2 * _S, 0, 0], [_S, _S, _S], [0, 0, 5 * _S]])
-# near ties that only the low bits break: the leading bits alone would give
+# near ties that only the low bits break: a test on the leading bits alone would give
 @example([[2 * _S, 1], [_S, 1]])  # mu = 1/2 where it is just above 1/2
 @example([[2 * _S, 1], [3 * _S, 0]])  # r = 2 where mu is just below 3/2, so r = 1
 @example([[2 * _S, 0, 1], [_S, _S, _S], [0, 0, 5 * _S]])  # no swap where 4 n1 < 3 n0
@@ -834,8 +831,8 @@ def _tie_ciphertext(pub, j=0):
 def test_attack_basis_rows_are_a_reduced_basis_of_the_key_rows():
     # rows 0 and 1 are (x, y, (x*e_a1 + y*e_a2)*T) with x, y from a matrix of determinant
     # +-1, so they span build_lattice's rows 0 and 1; |mu_10| <= 1/2 and the Lovasz test
-    # hold, so lll_reduce's pre-pass leaves them as they are and turns the old rows into
-    # them up to sign
+    # hold, so lll_reduce's k = 1 phase leaves them as they are and turns the old rows
+    # into them up to sign
     instances = [(kp.public, trace.ciphertext) for kp, trace in (
         _random_instance(n, seed, "basis", shift)
         for n in (8, 32, 128) for seed, shift in ((0, None), (1, 64), (2, 20 * n)))]
@@ -868,6 +865,27 @@ def test_attack_basis_rows_are_a_reduced_basis_of_the_key_rows():
 def test_attack_basis_falls_back_to_build_lattice(e_a1, e_a2, scale):
     pub, ct = PublicKey(8, e_a1, e_a2), Ciphertext(12345)
     assert attacks._attack_basis(pub, ct, scale) == build_lattice(pub, ct, scale)
+
+
+@settings(deadline=None)
+@given(n=st.integers(8, 64), data=st.data())
+def test_cli_lattice_attack_sends_closed_form_key_rows_to_lll(n, data):
+    # for a != b and C in [C_lo, C_hi] (C_lo > max(e_a1, e_a2)), T = 2^(bitlen C + 2) >
+    # 4 max(e_a1, e_a2), so (g*T)^2 > 8(a^2 + b^2) and _attack_basis never falls back to
+    # build_lattice's rows: the CLI's lattice row gives LLL no raw key rows
+    coefficient = st.integers(3 * n, 32 * n).flatmap(
+        lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+    e_a1 = data.draw(coefficient)
+    e_a2 = data.draw(coefficient.filter(lambda e: e != e_a1))
+    pub = PublicKey(n, e_a1, e_a2)
+    ct = Ciphertext(data.draw(st.integers(*ciphertext_range(pub))))
+    # LLL itself returns the basis as it is: the property is about its input
+    with mock.patch.object(attacks, "lll_reduce", side_effect=lambda basis: basis) as lll:
+        _ATTACK_KINDS["lattice"][1](attacks, pub, None, None, ct)
+    [(basis,)] = [call.args for call in lll.call_args_list]
+    g = math.gcd(e_a1, e_a2)
+    assert basis[0] == [e_a2 // g, -(e_a1 // g), 0]
+    assert basis[1][2] == g << (ct.c.bit_length() + 2)
 
 
 @st.composite

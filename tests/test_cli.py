@@ -889,6 +889,22 @@ def test_coefficient_above_32n_bits_exits_4_at_once(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_attack_lattice_out_of_range_ciphertext_exits_4_at_once(tmp_path, capsys):
+    # an n = 1024 key with an odd 32n-bit e_a2 passes the size checks, and C = e_a2 // 2 lies
+    # below its C_lo; before the range check the lattice attack ran for about 40 s on it and
+    # exited 0
+    n, rng = 1024, random.Random(2)
+    e_a1 = rng.getrandbits(3 * n) | (1 << (3 * n - 1)) | 1
+    e_a2 = rng.getrandbits(32 * n) | (1 << (32 * n - 1)) | 1
+    pub, ct = tmp_path / "pub.txt", tmp_path / "ct.txt"
+    pub.write_text(format_public_key(PublicKey(n, e_a1, e_a2)))
+    ct.write_text(format_ciphertext(Ciphertext(e_a2 // 2)))
+    t0 = time.perf_counter()
+    assert run("attack", "--kind", "lattice", "--pub", str(pub), "--ct", str(ct)) == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr() == ("", "error: ciphertext outside the range of the public key\n")
+
+
 def test_rabin_ambiguity_message_prints_no_root_in_decimal(tmp_path, capsys):
     # Mersenne primes, both 3 (mod 4): the roots have over 1,000 decimal digits
     p, q = (1 << 1279) - 1, (1 << 2203) - 1
