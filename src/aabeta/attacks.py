@@ -304,17 +304,27 @@ _COEFF_BOUND = 4
 
 
 def _attack_basis(pub, ct, scale):
-    """build_lattice's rows with rows 0 and 1 in the closed form of lattice_attack."""
+    """build_lattice's rows in the closed form of lattice_attack: [v, z, w], else [v, w, row 2],
+    else (under the key-row guards) build_lattice's rows."""
     rows = build_lattice(pub, ct, scale)
     g = math.gcd(pub.e_a1, pub.e_a2) or 1
     a, b = pub.e_a1 // g, pub.e_a2 // g
-    norm = a * a + b * b
-    if min(a, b) < 1 or a == b or (g * scale) ** 2 <= 2 * norm:
+    norm, gt2 = a * a + b * b, (g * scale) ** 2
+    if min(a, b) < 1 or a == b or gt2 <= 2 * norm:
         return rows
     s = pow(a, -1, b)
     t = (1 - s * a) // b
     k = (2 * (s * b - t * a) + norm) // (2 * norm)
-    return [[b, -a, 0], [s - k * b, t + k * a, g * scale], rows[2]]
+    v, w = [b, -a, 0], [s - k * b, t + k * a, g * scale]
+    c, rem = divmod(ct.c, g)
+    z = [c * w[0], c * w[1], 0]  # row 2 + (C/g) w
+    lam = z[0] * b - z[1] * a
+    if 2 * abs(lam) > norm:
+        r = (2 * lam + norm) // (2 * norm)
+        z = [z[0] - r * b, z[1] + r * a, 0]
+    if rem or 4 * (z[0] * z[0] + z[1] * z[1]) >= 3 * gt2:
+        return [v, w, rows[2]]
+    return [v, z, w]
 
 
 def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
@@ -349,6 +359,14 @@ def lattice_attack(pub, ct, scale="auto", u_true=None, v_true=None):
     cases this leaves uncovered: a mu_kj of exactly +-3/2, +-5/2, ... once row 2
     takes part (both roundings give rows of equal norm, but the bases may
     part there), and two passing combinations the search meets in either order.
+
+    Row 2 = (0, 0, -C*T) is put in closed form too. For g | C, z is row 2 + (C/g) w =
+    (C/g)(w0, w1, 0) size-reduced against v by lll_reduce's rounding. If 4|z|^2 < 3(g*T)^2, LLL
+    at k = 2 reduces row 2 to z and swaps z in front of w: the Lovasz test fails, and z's part
+    orthogonal to v, (C/g)/|v|, gives 2|C/g| <= (g*T)^2 (a^2 + b^2), so mu_21 rounds to -C/g,
+    as |w*|^2 = (g*T)^2 + 1/(a^2 + b^2) (s*a + t*b = 1). So _attack_basis returns [v, z, w],
+    else [v, w, row 2]. LLL's steps depend only on the current rows, and k_max computes w's
+    Gram-Schmidt data afresh, so from [v, z, w] it gives bit for bit what [v, w, row 2] gives.
     """
     if ct.c < 1:
         raise ValueError("ciphertext must be positive")

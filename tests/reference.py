@@ -18,7 +18,12 @@ checks before any modexp; `unmasked_roots` recomputes its unmasked
 value and four roots from the public primitives, and `accepted_roots`
 restates its window and divisibility filter over those roots.
 `oversized_e_a2_instances` builds weak keys that still decrypt and whose
-ciphertexts the lattice attack recovers. `reference_strong_lucas` runs
+ciphertexts the lattice attack recovers; `wide_e_a2_instance` builds a key
+with the widest e_a2 that `keys._check_size` allows and an in-range
+ciphertext, the slowest input of `attack --kind lattice`.
+`reference_attack_basis` puts only the two key rows of the attack lattice
+in closed form, the oracle of `attacks._attack_basis`, which puts row 2 in
+closed form too: LLL must reduce both bases to the same rows. `reference_strong_lucas` runs
 the strong Lucas test on the U/V/Q^k recurrences, the oracle of the
 ring-form `numtheory._strong_lucas`. `reference_decrypt` is the
 four-root decryption (both square roots, CRT combine, then the filters),
@@ -39,6 +44,7 @@ from aabeta.attacks import (
     VERDICT_NOT_RECOVERED,
     VERDICT_RECOVERED,
     AttackReport,
+    build_lattice,
     congruence_params,
 )
 from aabeta.cipher import encrypt_trace, sample_ephemerals
@@ -260,6 +266,31 @@ def oversized_e_a2_instances(n):
         msg = encode(rng.randbytes(rng.randrange(capacity_bytes(n) + 1)), n)
         ct = encrypt_trace(pub, msg, sample_ephemerals(n, rng)).ciphertext
         yield KeyPair(pub, kp.private), msg, ct
+
+
+def wide_e_a2_instance(n, seed=0):
+    """(pub, ct): e_a1 of 3n bits, an odd e_a2 of 32n bits and C = U*e_a1 + V^2*e_a2 for an
+    honest (U, V), so C is in range. No private key inverts it; the lattice attack needs none."""
+    rng = random.Random(f"wide-e2:{n}:{seed}")
+    e_a1 = rng.getrandbits(3 * n) | 1 << (3 * n - 1) | 1
+    e_a2 = rng.getrandbits(32 * n) | 1 << (32 * n - 1) | 1
+    pub = PublicKey(n, e_a1, e_a2)
+    msg = encode(rng.randbytes(rng.randrange(capacity_bytes(n) + 1)), n)
+    return pub, encrypt_trace(pub, msg, sample_ephemerals(n, rng)).ciphertext
+
+
+def reference_attack_basis(pub, ct, scale):
+    """build_lattice's rows with rows 0 and 1 in the closed form of lattice_attack."""
+    rows = build_lattice(pub, ct, scale)
+    g = math.gcd(pub.e_a1, pub.e_a2) or 1
+    a, b = pub.e_a1 // g, pub.e_a2 // g
+    norm = a * a + b * b
+    if min(a, b) < 1 or a == b or (g * scale) ** 2 <= 2 * norm:
+        return rows
+    s = pow(a, -1, b)
+    t = (1 - s * a) // b
+    k = (2 * (s * b - t * a) + norm) // (2 * norm)
+    return [[b, -a, 0], [s - k * b, t + k * a, g * scale], rows[2]]
 
 
 def reference_strong_lucas(n):

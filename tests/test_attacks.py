@@ -38,8 +38,10 @@ from reference import (
     linear_congruence_scan,
     oversized_e_a2_instances,
     rational_lll,
+    reference_attack_basis,
     reference_factor_from_roots,
     two_step_solution,
+    wide_e_a2_instance,
 )
 
 
@@ -829,30 +831,48 @@ def _tie_ciphertext(pub, j=0):
 
 
 def test_attack_basis_rows_are_a_reduced_basis_of_the_key_rows():
-    # rows 0 and 1 are (x, y, (x*e_a1 + y*e_a2)*T) with x, y from a matrix of determinant
-    # +-1, so they span build_lattice's rows 0 and 1; |mu_10| <= 1/2 and the Lovasz test
-    # hold, so lll_reduce's k = 1 phase leaves them as they are and turns the old rows
-    # into them up to sign
+    # the key rows v, w are (x, y, (x*e_a1 + y*e_a2)*T) with x, y from a matrix of determinant
+    # +-1, so they span build_lattice's rows 0 and 1; |mu_10| <= 1/2 and the Lovasz test hold,
+    # so lll_reduce's k = 1 phase leaves them as they are and turns the old rows into them up
+    # to sign. Row 2 in closed form, z, is (x, y, 0) with x*e_a1 + y*e_a2 = C, size-reduced
+    # against v, and [v, z, w] is build_lattice's rows times a matrix of determinant +-1
     instances = [(kp.public, trace.ciphertext) for kp, trace in (
         _random_instance(n, seed, "basis", shift)
         for n in (8, 32, 128) for seed, shift in ((0, None), (1, 64), (2, 20 * n)))]
     # g = 5 with a = 1, b = 7; g = 4 with b = 1 (s = 0); a = 1 with b = 6
     instances += [(PublicKey(8, *e), Ciphertext(1 << 70)) for e in ((5, 35), (12, 4), (1, 6))]
-    checked = 0
+    checked = closed_row_2 = 0
     for pub, ct in instances:
         for scale in (3, preset_scale(pub.n), 1 << (ct.c.bit_length() + 2)):
             old, new = build_lattice(pub, ct, scale), attacks._attack_basis(pub, ct, scale)
             if new == old:
                 continue
-            (x0, y0, _), (x1, y1, _) = v, w = new[:2]
+            if new[2] == old[2]:
+                v, w = new[:2]
+            else:
+                v, z, w = new
+                assert z[2] == 0 and z[0] * pub.e_a1 + z[1] * pub.e_a2 == ct.c
+                assert 2 * abs(_dot(z, v)) <= _dot(v, v)
+                # each row's coordinates in build_lattice's rows (1, 0, e_a1*T), (0, 1, e_a2*T)
+                # and (0, 0, -C*T); the third is an exact quotient
+                coords = [[x, y, ((x * pub.e_a1 + y * pub.e_a2) * scale - h) // (ct.c * scale)]
+                          for x, y, h in new]
+                assert [[sum(c * r[j] for c, r in zip(row, old)) for j in range(3)]
+                        for row in coords] == new
+                assert abs(determinant(coords)) == 1
+                closed_row_2 += 1
+            (x0, y0, _), (x1, y1, _) = v, w
             rows = [[x, y, (x * pub.e_a1 + y * pub.e_a2) * scale] for x, y in ((x0, y0), (x1, y1))]
-            assert rows == new[:2]
-            assert abs(x0 * y1 - y0 * x1) == 1 and new[2] == old[2]
+            assert rows == [v, w]
+            assert abs(x0 * y1 - y0 * x1) == 1
             assert 2 * abs(_dot(w, v)) < _dot(v, v) and 4 * _dot(w, w) >= 3 * _dot(v, v)
-            assert lll_reduce(new[:2]) == new[:2]
-            assert all(row in (r, [-x for x in r]) for row, r in zip(lll_reduce(old[:2]), new[:2]))
+            assert lll_reduce([v, w]) == [v, w]
+            assert all(row in (r, [-x for x in r]) for row, r in zip(lll_reduce(old[:2]), [v, w]))
             checked += 1
-    assert checked == 23  # scale 3 is below the guard on 10 keys, preset_scale(n) on 3
+    # scale 3 is below the key-row guard on 10 keys, preset_scale(n) on 3; row 2 stays on 4 of
+    # the 23: g = 5 does not divide 2^70 (3 scales), and at scale 3 the g = 4 key has
+    # 2(C/g) > (g*T)^2 (a^2 + b^2)
+    assert (checked, closed_row_2) == (23, 19)
     assert attacks._attack_basis(PublicKey(8, 5, 35), Ciphertext(9), 3)[:2] == [[7, -1, 0], [1, 0, 15]]
 
 
@@ -867,12 +887,49 @@ def test_attack_basis_falls_back_to_build_lattice(e_a1, e_a2, scale):
     assert attacks._attack_basis(pub, ct, scale) == build_lattice(pub, ct, scale)
 
 
+@pytest.mark.parametrize("e_a1, e_a2, c, scale", [
+    (5, 35, 9, 3),  # g = 5 does not divide C
+    # g = 5, a = 1, b = 7, T = 3: 2(C/g) = 11252 > (g*T)^2 (a^2 + b^2) = 11250
+    (5, 35, 5 * 5626, 3),
+    (12, 4, 1 << 70, 3),  # g = 4, a = 3, b = 1: 2(C/g) = 2^69 > 144 * 10
+    (5, 35, 5 * 100, 3),  # 2(C/g) <= 11250, but 4|z|^2 >= 4 * 100^2 / 50 > 3(g*T)^2 = 675
+], ids=["g-does-not-divide-C", "C-over-g-too-large", "scale-3-g-4", "no-swap"])
+def test_attack_basis_keeps_row_2_last(e_a1, e_a2, c, scale):
+    # 2|C/g| > (g*T)^2 (a^2 + b^2) fails the swap test too: z's part orthogonal to v has
+    # length (C/g)/|v|, so |z|^2 >= (C/g)^2 / (a^2 + b^2)
+    pub, ct = PublicKey(8, e_a1, e_a2), Ciphertext(c)
+    basis = attacks._attack_basis(pub, ct, scale)
+    assert basis == reference_attack_basis(pub, ct, scale)  # its row 2 is build_lattice's
+    g = math.gcd(e_a1, e_a2)
+    if c % g == 0:
+        # z = row 2 + (C/g) w, size-reduced against v with Fractions, fails 4|z|^2 < 3(g*T)^2
+        v, w, row2 = basis
+        z = [x + c // g * y for x, y in zip(row2, w)]
+        mu = Fraction(_dot(z, v), _dot(v, v))
+        if abs(mu) > Fraction(1, 2):
+            z = [x - math.floor(mu + Fraction(1, 2)) * y for x, y in zip(z, v)]
+        assert z[2] == 0 and 4 * _dot(z, z) >= 3 * (g * scale) ** 2
+
+
+@pytest.mark.parametrize("scale", ["auto", "preset"])
+def test_lll_leaves_the_attack_basis_of_honest_keys_as_it_is(scale):
+    # the closed forms take every step LLL would: on honest n = 128 keys it only checks them
+    for seed in range(20):
+        kp, trace = _random_instance(128, seed, "unchanged")
+        ct = trace.ciphertext
+        t = preset_scale(128) if scale == "preset" else 1 << (ct.c.bit_length() + 2)
+        basis = attacks._attack_basis(kp.public, ct, t)
+        assert basis[1][2] == 0 and basis[2][2] == t
+        assert lll_reduce(basis) == basis
+
+
 @settings(deadline=None)
 @given(n=st.integers(8, 64), data=st.data())
 def test_cli_lattice_attack_sends_closed_form_key_rows_to_lll(n, data):
     # for a != b and C in [C_lo, C_hi] (C_lo > max(e_a1, e_a2)), T = 2^(bitlen C + 2) >
     # 4 max(e_a1, e_a2), so (g*T)^2 > 8(a^2 + b^2) and _attack_basis never falls back to
-    # build_lattice's rows: the CLI's lattice row gives LLL no raw key rows
+    # build_lattice's rows: the CLI's lattice row gives LLL no raw key rows. T > 4C also makes
+    # 4|z|^2 <= 4(C/g)^2 + a^2 + b^2 < 3(g*T)^2, so row 2 arrives in closed form when g | C
     coefficient = st.integers(3 * n, 32 * n).flatmap(
         lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
     e_a1 = data.draw(coefficient)
@@ -884,8 +941,14 @@ def test_cli_lattice_attack_sends_closed_form_key_rows_to_lll(n, data):
         _ATTACK_KINDS["lattice"][1](attacks, pub, None, None, ct)
     [(basis,)] = [call.args for call in lll.call_args_list]
     g = math.gcd(e_a1, e_a2)
+    t = 1 << (ct.c.bit_length() + 2)
     assert basis[0] == [e_a2 // g, -(e_a1 // g), 0]
-    assert basis[1][2] == g << (ct.c.bit_length() + 2)
+    if ct.c % g == 0:
+        event("row 2 in closed form")
+        assert basis[1][2] == 0 and basis[2][2] == g * t
+    else:
+        event("g does not divide C")
+        assert basis[1][2] == g * t and basis[2] == [0, 0, -ct.c * t]
 
 
 @st.composite
@@ -919,6 +982,37 @@ def test_lattice_attack_report_is_the_one_build_lattice_gives(inputs):
     report = lattice_attack(pub, ct, scale)
     with mock.patch.object(attacks, "_attack_basis", build_lattice):
         assert lattice_attack(pub, ct, scale) == report
+
+
+def _reduced_or_error(basis_of, pub, ct, scale):
+    if scale == "auto":
+        scale = 1 << (ct.c.bit_length() + 2)
+    try:
+        return lll_reduce(basis_of(pub, ct, scale))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(_lattice_attack_inputs(), st.sampled_from((1, -1, 0)))
+def test_lll_reduces_the_attack_basis_to_the_rows_of_the_key_row_basis(inputs, sign):
+    # row 2 in closed form takes only steps LLL would take from the reference basis, whose
+    # rows 0 and 1 alone are in closed form; a sign of -1 or 0 makes C negative or zero
+    pub, ct, scale = inputs
+    ct = Ciphertext(sign * ct.c)
+    assert (_reduced_or_error(attacks._attack_basis, pub, ct, scale)
+            == _reduced_or_error(reference_attack_basis, pub, ct, scale))
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_lattice_attack_on_the_widest_e_a2_matches_the_key_row_basis(n):
+    # e_a2 of 32n bits, the most keys._check_size allows: LLL's later phases are long here
+    pub, ct = wide_e_a2_instance(n)
+    report = lattice_attack(pub, ct)
+    basis = attacks._attack_basis(pub, ct, 1 << (ct.c.bit_length() + 2))
+    assert basis[1][2] == 0
+    with mock.patch.object(attacks, "_attack_basis", reference_attack_basis):
+        assert lattice_attack(pub, ct) == report
 
 
 # --- factoring from roots ---
