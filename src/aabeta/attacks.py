@@ -24,8 +24,10 @@ import itertools
 import math
 from collections import namedtuple
 
+from .cipher import v_window
 from .codec import EncodedMessage
 from .errors import FactoringFailure, InconsistentKey
+from .keys import d_above_floor
 
 __all__ = [
     "VERDICT_RECOVERED",
@@ -122,7 +124,7 @@ def congruence_bruteforce(pub, ct, j_budget):
     """Scan the V-window of the parametric family for a perfect square.
 
     Walks j over the interval where b - e_a1*j can be V^2 for V inside
-    its honest range, up to j_budget candidates. Recovers (U, V) -- and
+    cipher.v_window(n), up to j_budget candidates. Recovers (U, V) -- and
     hence the message pair -- iff the scan reaches the right j.
 
     Candidates that pass a square-residue filter (every square does) go
@@ -133,9 +135,8 @@ def congruence_bruteforce(pub, ct, j_budget):
         raise ValueError("j_budget must be non-negative")
     par = congruence_params(pub, ct)
     n, e_a1, e_a2 = pub.n, pub.e_a1, pub.e_a2
-    v_lo = (1 << (2 * n - 2)) + 1
-    v_hi = (1 << (2 * n - 1)) - 1
-    s_min, s_max = v_lo * v_lo, v_hi * v_hi
+    v_lo, v_hi = v_window(n)
+    s_min, s_max = (v_lo + 1) ** 2, (v_hi - 1) ** 2
     j_lo = -((s_max - par.b) // e_a1)  # ceil((b - s_max) / e_a1)
     j_hi = (par.b - s_min) // e_a1
     window = max(0, j_hi - j_lo + 1)
@@ -173,12 +174,9 @@ def coppersmith_feasibility(pub, d=None):
     generator's floor, which sits exactly on the bound.
     """
     n, e_a1 = pub.n, pub.e_a1
-    v_min = 1 << (2 * n - 2)
+    v_min = v_window(n)[0]
     v_feasible = v_min * v_min < e_a1
-    if d is None:
-        d_feasible = False
-    else:
-        d_feasible = d**9 <= e_a1**4
+    d_feasible = d is not None and not d_above_floor(d, e_a1)
     verdict = (
         VERDICT_NOT_RECOVERED if (v_feasible or d_feasible) else VERDICT_INFEASIBLE
     )

@@ -25,6 +25,7 @@ __all__ = [
     "Ciphertext",
     "EphemeralPair",
     "EncryptionTrace",
+    "v_window",
     "sample_ephemerals",
     "encrypt",
     "encrypt_trace",
@@ -37,6 +38,12 @@ __all__ = [
 Ciphertext = namedtuple("Ciphertext", "c")
 EphemeralPair = namedtuple("EphemeralPair", "k1 k2")
 EncryptionTrace = namedtuple("EncryptionTrace", "u v ciphertext")
+
+
+def v_window(n):
+    """The open window (2^(2n-2), 2^(2n-1)) that holds every V: of the four square
+    roots decrypt finds, only V lies in it and divides the ciphertext equation."""
+    return 1 << (2 * n - 2), 1 << (2 * n - 1)
 
 
 def sample_ephemerals(n, rng):
@@ -71,8 +78,9 @@ def _in_range(pub, ct):
     """ct, if C lies in [C_lo, C_hi], the C = U*e_a1 + V^2*e_a2 of every U in
     [(2^(3n)+1)*2^n, 2^(4n+1)-1] and V in (2^(2n-2), 2^(2n-1)); else InvalidCiphertext."""
     n = pub.n
-    c_lo = (((1 << 3 * n) + 1) << n) * pub.e_a1 + ((1 << 2 * n - 2) + 1) ** 2 * pub.e_a2
-    c_hi = ((1 << 4 * n + 1) - 1) * pub.e_a1 + ((1 << 2 * n - 1) - 1) ** 2 * pub.e_a2
+    v_lo, v_hi = v_window(n)
+    c_lo = (((1 << 3 * n) + 1) << n) * pub.e_a1 + (v_lo + 1) ** 2 * pub.e_a2
+    c_hi = ((1 << 4 * n + 1) - 1) * pub.e_a1 + (v_hi - 1) ** 2 * pub.e_a2
     if not c_lo <= ct.c <= c_hi:
         raise InvalidCiphertext("ciphertext outside the range of the public key")
     return ct
@@ -86,8 +94,8 @@ def decrypt(kp, ct):
     W = C*d mod p*q has no square root x mod p. A Newton step lifts x to
     the two candidates +-V mod p^2; unless gcd(x, p) = 1 and p*min(p, q) >
     2^(2n-1) (every window V below p^2 and p*q), the candidates are W's four
-    roots four_roots(x, sqrt_mod_p_3mod4(W % q, q), p, q). Exactly one may
-    pass the V window and divide the ciphertext equation: zero, or one outside
+    roots four_roots(x, sqrt_mod_p_3mod4(W % q, q), p, q). Exactly one may pass
+    the V window v_window(n) and divide the ciphertext equation: zero, or one outside
     the message ranges, raises InvalidCiphertext; two or more, ParameterViolation
     (the key breaks the uniqueness window). A p or q that the root step
     rejects (zero, not 3 mod 4, or sharing a factor) raises InconsistentKey.
@@ -95,8 +103,7 @@ def decrypt(kp, ct):
     pub, priv = kp.public, kp.private
     n = pub.n
     c = _in_range(pub, ct).c
-    v_lo = 1 << (2 * n - 2)
-    v_hi = 1 << (2 * n - 1)
+    v_lo, v_hi = v_window(n)
     p, q = priv.p, priv.q
     try:
         w = c * priv.d % priv.pq

@@ -21,6 +21,7 @@ __all__ = [
     "ValidationReport",
     "generate_keypair",
     "validate_keypair",
+    "d_above_floor",
     "check_public_key",
     "parse_uint",
     "parse_fields",
@@ -67,10 +68,9 @@ def generate_keypair(n, rng):
     primes = rabin.keygen(n, rng)
     p, q, pq = primes.p, primes.q, primes.N
     e_a1 = p * p * q
-    floor_pow = e_a1**4
     for _ in range(_D_RETRIES):
         d = rng.randrange(2, pq)
-        if d**9 > floor_pow and math.gcd(d, pq) == 1:
+        if d_above_floor(d, e_a1) and math.gcd(d, pq) == 1:
             break
     else:
         raise GenerationFailure("could not sample a decryption exponent")
@@ -79,6 +79,16 @@ def generate_keypair(n, rng):
     e += ((lo - e) // pq + 1) * pq  # e < pq < 2^(2n+2) < lo
     assert lo < e < 1 << (3 * n + 6)
     return KeyPair(PublicKey(n, e_a1, e), PrivateKey(p, q, d))
+
+
+def d_above_floor(d, e_a1):
+    """d^9 > e_a1^4: the generator's floor d > e_a1^(4/9), below which the small-root
+    attack finds d (Boneh, Durfee & Howgrave-Graham 1999). Bit lengths decide it
+    before any power is taken, so an oversized d costs no d^9."""
+    bits_d, bits_e = d.bit_length(), e_a1.bit_length()
+    if d < 1 or 9 * bits_d <= 4 * (bits_e - 1):
+        return False
+    return 9 * (bits_d - 1) >= 4 * bits_e or d**9 > e_a1**4
 
 
 def validate_keypair(kp, strict=True):
@@ -120,7 +130,7 @@ def validate_keypair(kp, strict=True):
             # and the message names the bounds in n, which may be too long for decimal
             if not (x > 0 and (x - 1).bit_length() > a and x.bit_length() <= b):
                 bad.append(f"{tag}-range: {name} not in ({bounds})")
-        if d**9 <= e_a1**4:
+        if not d_above_floor(d, e_a1):
             bad.append("d-floor: d not above e_a1^(4/9)")
         if not 1 < d < pq:
             bad.append("d-range: d not in (1, p*q)")

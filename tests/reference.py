@@ -20,7 +20,9 @@ restates its window and divisibility filter over those roots.
 `oversized_e_a2_instances` builds weak keys that still decrypt and whose
 ciphertexts the lattice attack recovers; `wide_e_a2_instance` builds a key
 with the widest e_a2 that `keys._check_size` allows and an in-range
-ciphertext, the slowest input of `attack --kind lattice`.
+ciphertext, the slowest input of `attack --kind lattice`;
+`oversized_d_instance` builds a key whose d is raised by a large multiple of
+p*q, which decrypts but fails strict validation's d-range.
 `reference_attack_basis` puts only the two key rows of the attack lattice
 in closed form, the oracle of `attacks._attack_basis`, which puts row 2 in
 closed form too: LLL must reduce both bases to the same rows. `reference_strong_lucas` runs
@@ -50,7 +52,7 @@ from aabeta.attacks import (
 from aabeta.cipher import encrypt_trace, sample_ephemerals
 from aabeta.codec import EncodedMessage, capacity_bytes, encode
 from aabeta.errors import FactoringFailure, InvalidCiphertext, ParameterViolation
-from aabeta.keys import KeyPair, PublicKey, ValidationReport, generate_keypair
+from aabeta.keys import KeyPair, PrivateKey, PublicKey, ValidationReport, generate_keypair
 from aabeta.numtheory import four_roots, is_probable_prime, jacobi, sqrt_mod_p_3mod4
 from aabeta.rabin import RabinKeyPair, decrypt_all
 
@@ -277,6 +279,16 @@ def wide_e_a2_instance(n, seed=0):
     pub = PublicKey(n, e_a1, e_a2)
     msg = encode(rng.randbytes(rng.randrange(capacity_bytes(n) + 1)), n)
     return pub, encrypt_trace(pub, msg, sample_ephemerals(n, rng)).ciphertext
+
+
+def oversized_d_instance(n, bits, seed=0):
+    """A seeded key pair with d raised by p*q times a random multiplier of `bits` bits, so d
+    has about bits + 2n + 2 bits, none of them forced to zero. e_a2*d = 1 (mod p*q) still
+    holds: the key passes relaxed validation and decrypts, and strict validation's d-range fails."""
+    rng = random.Random(f"oversized-d:{n}:{seed}")
+    kp = generate_keypair(n, rng)
+    p, q, d = kp.private
+    return KeyPair(kp.public, PrivateKey(p, q, d + p * q * (rng.getrandbits(bits) | 1 << bits - 1)))
 
 
 def reference_attack_basis(pub, ct, scale):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aabeta import cipher
@@ -16,6 +16,7 @@ from aabeta.cipher import (
     format_ciphertext,
     parse_ciphertext,
     sample_ephemerals,
+    v_window,
 )
 from aabeta.codec import EncodedMessage, capacity_bytes, decode, encode
 from aabeta.errors import CryptoError, InconsistentKey, InvalidCiphertext, ParameterViolation
@@ -183,6 +184,31 @@ def test_round_trip_uniqueness_and_consistency(n):
         # direct big-integer recomputation of the two-term combination
         e1, e2 = kp.public.e_a1, kp.public.e_a2
         assert enc.ciphertext.c == enc.u * e1 + enc.v * enc.v * e2
+
+
+@st.composite
+def window_extremes(draw):
+    """(n, m2, k2): m2 and the session value k2 at either end of their ranges or between."""
+    n = draw(st.integers(8, 64))
+    m2_lo, k2_lo = (1 << (n - 2)) + 1, (1 << (n - 1)) + 1
+    m2_hi, k2_hi = (1 << (n - 1)) - 1, (1 << n) - 1
+    m2 = draw(st.sampled_from((m2_lo, m2_hi)) | st.integers(m2_lo, m2_hi))
+    k2 = draw(st.sampled_from((k2_lo, k2_hi)) | st.integers(k2_lo, k2_hi))
+    return n, m2, k2
+
+
+@given(window_extremes())
+@example((8, 2**6 + 1, 2**7 + 1))
+@example((8, 2**7 - 1, 2**8 - 1))
+@example((64, 2**62 + 1, 2**63 + 1))
+@example((64, 2**63 - 1, 2**64 - 1))
+def test_encrypted_v_lies_strictly_inside_v_window(case):
+    n, m2, k2 = case
+    msg = EncodedMessage((1 << (3 * n)) + 1, m2, n)
+    eph = EphemeralPair((1 << (n - 1)) + 1, k2)
+    v = encrypt_trace(PublicKey(n, 1, 1), msg, eph).v  # V does not depend on the key
+    v_lo, v_hi = v_window(n)
+    assert v_lo < v < v_hi
 
 
 @st.composite

@@ -49,6 +49,7 @@ from aabeta.keys import (
 import vectors
 from reference import (
     ciphertext_range,
+    oversized_d_instance,
     oversized_e_a2_instances,
     parse_report_text,
     unmasked_roots,
@@ -109,6 +110,32 @@ def test_reference_keys_validate_relaxed_only(reference_keys, capsys):
     assert run("validate", "--pub", str(pub), "--priv", str(priv)) == 4
     assert "p-range" in capsys.readouterr().err
     assert run("validate", "--pub", str(pub), "--priv", str(priv), "--relaxed") == 0
+
+
+def test_oversized_d_costs_no_power_in_validate_or_coppersmith(tmp_path, capsys):
+    # d raised by a 1.6M-bit multiple of p*q (a 400 KB key file): bit lengths decide
+    # the d floor; a d**9 of this d takes about 3 s
+    kp = oversized_d_instance(64, 1_600_000)
+    pub, priv = tmp_path / "pub.txt", tmp_path / "priv.txt"
+    pub.write_text(format_public_key(kp.public))
+    priv.write_text(format_private_key(kp.private, 64))
+    keys = ("--pub", str(pub), "--priv", str(priv))
+    payload, ct, out = tmp_path / "payload.bin", tmp_path / "ct.txt", tmp_path / "out.bin"
+    payload.write_bytes(b"oversized d")
+    assert run("encrypt", "--pub", str(pub), "--in", str(payload), "--out", str(ct),
+               "--seed", "1") == 0
+    assert run("decrypt", *keys, "--in", str(ct), "--out", str(out)) == 0
+    assert out.read_bytes() == b"oversized d"
+    assert run("validate", *keys, "--relaxed") == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run("validate", *keys) == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr() == ("", "d-range: d not in (1, p*q)\n")
+    t0 = time.perf_counter()
+    assert run("attack", "--kind", "coppersmith", *keys) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert parse_report_text(capsys.readouterr().out)["verdict"] == "infeasible-by-bounds"
 
 
 def test_encrypt_decrypt_round_trip(keys16, tmp_path):

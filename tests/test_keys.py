@@ -14,6 +14,7 @@ from aabeta.keys import (
     PrivateKey,
     PublicKey,
     check_public_key,
+    d_above_floor,
     format_private_key,
     format_public_key,
     generate_keypair,
@@ -149,6 +150,24 @@ def test_validation_flags_d_at_or_below_the_coppersmith_floor():
     e += ((lo - e) // pq + 1) * pq
     weak = KeyPair(PublicKey(n, kp.public.e_a1, e), PrivateKey(p, q, d))
     assert validate_keypair(weak, strict=True).violations == ["d-floor: d not above e_a1^(4/9)"]
+
+
+# d = x^4 + i against e_a1 = x^9 + j: d^9 and e_a1^4 both near x^36, where bit lengths tie
+_NEAR_FLOOR = st.builds(lambda x, i, j: (x**4 + i, x**9 + j),
+                        st.integers(-3, 3000), st.integers(-1, 1), st.integers(-1, 1))
+_ANY_PAIR = st.tuples(st.integers(-(2**600), 2**600), st.integers(-(2**600), 2**600))
+
+
+@given(st.one_of(_NEAR_FLOOR, _ANY_PAIR))
+@example((0, 0))
+@example((1, 0))
+@example((-(2**200), 1))
+@example((2**4 + 1, 2**9))
+@example((2**4, 2**9))
+@example((2999**4 - 1, 2999**9 + 1))
+def test_d_above_floor_is_d9_above_e_a1_4(pair):
+    d, e_a1 = pair
+    assert d_above_floor(d, e_a1) == (d**9 > e_a1**4)
 
 
 _RELAXED_RULES = ("e1-consistency", "d-inverse", "p-mod4", "q-mod4", "p-q-coprime")
